@@ -8,6 +8,8 @@
 //   --trace-csv            write the trace as flat CSV instead of JSON
 //   --intervals PATH       per-interval bandwidth/page-hit time series CSV
 //   --interval-cycles N    interval length in DRAM cycles (default 10000)
+//   --cycles N             simulated window in DRAM cycles (default
+//                          1000000, ~7 ms of decode time)
 //   --arena                compile the four decoder clients once into
 //                          shared immutable arenas and replay them
 //                          (bit-identical stats, no per-run generators)
@@ -15,9 +17,14 @@
 //                          state (versioned, checksummed) to PATH
 //   --restore PATH         before the run, restore state from PATH and
 //                          continue — a restored run is bit-identical to
-//                          one long uninterrupted run. Build the same
-//                          roster both times (pass --arena to both runs
-//                          or to neither).
+//                          one long uninterrupted run: `--cycles 500000
+//                          --snapshot S` then `--cycles 500000 --restore
+//                          S` prints the table of `--cycles 1000000`.
+//                          Build the same roster both times (pass --arena
+//                          to both runs or to neither). Arenas are
+//                          compiled for --cycles cycles in total, so an
+//                          --arena restore needs the same --cycles and
+//                          runs out of records past that total.
 
 #include <cstdint>
 #include <fstream>
@@ -75,9 +82,9 @@ int main(int argc, char** argv) {
   const dram::DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
   clients::MemorySystem sys(cfg, clients::ArbiterKind::kRoundRobin);
   const mpeg::MemoryMap map = std_model.build_memory_map();
-  constexpr std::uint64_t kWindow = 1'000'000;  // ~7 ms of decode time
+  const std::uint64_t window = args.get_u64("cycles", 1'000'000);
   if (args.has("arena")) {
-    mpeg::add_compiled_decoder_clients(sys, std_model, map, kWindow);
+    mpeg::add_compiled_decoder_clients(sys, std_model, map, window);
     std::cout << "replaying precompiled client arenas\n\n";
   } else {
     mpeg::add_decoder_clients(sys, std_model, map);
@@ -124,7 +131,7 @@ int main(int argc, char** argv) {
               << "\n\n";
   }
 
-  sys.run(kWindow);
+  sys.run(window);
 
   if (args.has("snapshot")) {
     const std::vector<std::uint8_t> blob = sys.save_snapshot();

@@ -101,6 +101,23 @@ rows=$(($(wc -l < bench/mpeg2_intervals.csv) - 1))
 [ "$rows" -gt 0 ] || { echo "  interval series is empty"; exit 1; }
 echo "  interval series OK: $rows intervals -> bench/mpeg2_intervals.csv"
 
+# End-to-end benchmark smoke: one short run of every BENCHMARK.json
+# workload (perfbench/run.py builds its own Release tree). Each run checks
+# its simulated results against the recorded digests and its oracles; a
+# run whose result line is not "correct": true fails the pipeline.
+echo
+echo "benchmark correctness smoke:"
+workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for w in $workloads; do
+  result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+             --trace 0 | tail -n 1) || { echo "  $w FAILED to run"; exit 1; }
+  case "$result" in
+    *'"correct": true'*) echo "  $w OK" ;;
+    *) echo "  $w FAILED: $result"; exit 1 ;;
+  esac
+done
+
 # Sanitizer sweep + Release perf snapshot (both use their own build trees).
 if [ -z "${EDSIM_SKIP_SANITIZE:-}" ]; then
   scripts/sanitize.sh

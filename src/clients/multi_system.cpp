@@ -85,13 +85,16 @@ void MultiChannelSystem::step() {
 void MultiChannelSystem::skip_quiet_stretch(std::uint64_t end) {
   if (cycle_ >= end) return;
   if (memory_.has_completions()) return;
-  std::uint64_t stop = std::min(end, memory_.next_event_cycle());
+  // Clients first: the channels' event bound costs a heap walk per
+  // channel and is wasted whenever a client is ready.
+  std::uint64_t stop = end;
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     if (pending_[i].has_value()) return;  // parked request retries each cycle
     const std::uint64_t wake = clients_[i]->next_request_cycle(cycle_);
     if (wake <= cycle_) return;
     stop = std::min(stop, wake);
   }
+  stop = std::min(stop, memory_.next_event_cycle());
   if (stop <= cycle_) return;
   const std::uint64_t k = stop - cycle_;
   for (std::size_t i = 0; i < clients_.size(); ++i) fifos_[i].sample_repeated(k);

@@ -92,7 +92,9 @@ void MemorySystem::skip_quiet_stretch(std::uint64_t end) {
   // A pending completion means the very next step does real work
   // (delivery + notify_complete at its exact cycle).
   if (controller_.has_completions()) return;
-  std::uint64_t stop = std::min(end, controller_.next_event_cycle());
+  // Clients first: a ready one ends the probe before the controller's
+  // event bound (a walk over its release heaps) is ever computed.
+  std::uint64_t stop = end;
   if (!clients_paused_) {
     for (const auto& c : clients_) {
       const std::uint64_t wake = c->next_request_cycle(now);
@@ -100,6 +102,7 @@ void MemorySystem::skip_quiet_stretch(std::uint64_t end) {
       stop = std::min(stop, wake);
     }
   }
+  stop = std::min(stop, controller_.next_event_cycle());
   if (stop <= now) return;
   // Every cycle in [now, stop) is quiet: no client ready, no completion,
   // no controller event — a per-cycle step would only sample. Credit the
@@ -123,6 +126,18 @@ void MemorySystem::dense_stretch(std::uint64_t end) {
   while (true) {
     const std::uint64_t now = controller_.cycle();
     if (now >= end || clients_paused_) return;
+    // Cycle `now` must end with a full queue: either it already is, or
+    // this cycle's single arbitration grant tops it off. Anything deeper
+    // (fill/drain transients, retired banks) is per-cycle territory —
+    // tested first because it is O(1) and the client scan below is not.
+    // Bailing before the delivery is safe: step() delivers any pending
+    // completions at this same cycle.
+    const bool full = controller_.queue_full();
+    if (!full &&
+        (controller_.queue_size() + 1 < controller_.config().queue_depth ||
+         controller_.all_banks_retired())) {
+      return;
+    }
     // Completions retired by the last covered tick deliver here — the
     // same cycle the next per-cycle step would deliver them. Safe even
     // when the loop bails below: step() then drains an empty list.
@@ -145,16 +160,8 @@ void MemorySystem::dense_stretch(std::uint64_t end) {
       }
     }
     if (!any_ready) return;  // quiet shape — skip_quiet_stretch's job
-    // Cycle `now` must end with a full queue: either it already is, or
-    // this cycle's single arbitration grant tops it off. Anything deeper
-    // (fill/drain transients, retired banks) is per-cycle territory.
-    const bool full = controller_.queue_full();
     std::size_t win = Arbiter::kNone;
     if (!full) {
-      if (controller_.queue_size() + 1 < controller_.config().queue_depth ||
-          controller_.all_banks_retired()) {
-        return;
-      }
       // Execute cycle `now`'s arbitration exactly as step() would. With
       // any_ready set every arbiter returns a winner (and a kNone pick
       // mutates nothing, so handing the cycle back to step() is safe).

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/snapshot.hpp"
 
 namespace edsim::mpeg {
 
@@ -36,6 +37,12 @@ bool McClient::has_request(std::uint64_t cycle) const {
   return !finished() && cycle >= next_block_cycle_;
 }
 
+std::uint64_t McClient::next_request_cycle(std::uint64_t now) const {
+  if (block_active_) return now;
+  if (finished()) return dram::kNeverCycle;
+  return std::max(now, next_block_cycle_);
+}
+
 dram::Request McClient::make_request(std::uint64_t cycle) {
   if (!block_active_) {
     start_block();
@@ -55,6 +62,26 @@ dram::Request McClient::make_request(std::uint64_t cycle) {
 
 bool McClient::finished() const {
   return p_.total_blocks != 0 && blocks_ >= p_.total_blocks && !block_active_;
+}
+
+void McClient::save_state(SnapshotWriter& w) const {
+  rng_.save(w);
+  w.u64(block_base_);
+  w.u32(row_in_block_);
+  w.boolean(block_active_);
+  w.u64(next_block_cycle_);
+  w.u64(blocks_);
+}
+
+void McClient::load_state(SnapshotReader& r) {
+  rng_.load(r);
+  block_base_ = r.u64();
+  const std::uint32_t row = r.u32();
+  if (row > p_.rows_per_block) r.fail("mc client row cursor out of range");
+  row_in_block_ = row;
+  block_active_ = r.boolean();
+  next_block_cycle_ = r.u64();
+  blocks_ = r.u64();
 }
 
 namespace {

@@ -13,8 +13,9 @@ namespace edsim::service {
 /// Version byte of the `EDRS` store envelope. Bump on any change to the
 /// record payload layout (it covers the wire.hpp Metrics encoding); the
 /// reader rejects mismatches with Error{kStoreFormat} instead of
-/// misinterpreting bytes.
-inline constexpr std::uint8_t kResultStoreVersion = 2;
+/// misinterpreting bytes. Records are snapshot envelopes, so a
+/// kSnapshotVersion bump bumps this too (version 3 = snapshot version 2).
+inline constexpr std::uint8_t kResultStoreVersion = 3;
 
 /// Content-addressed, on-disk evaluation cache: an append log of
 /// (result_key, Metrics) records behind the in-memory memo, so design

@@ -6,8 +6,10 @@
 // x {burst-issue on, off} — and, for multi-channel, at 1, 2 and 8 tick
 // threads. A slice of the client mixes is high-demand (near-zero pacing,
 // thousands of requests) so the dense-traffic burst path actually
-// engages. Any failure prints the reproducer seed and the full config so
-// the trial can be replayed in isolation.
+// engages, and the §4.1 MPEG2 decoder roster runs on random
+// decoder-capable channels as its own trial set. Any failure prints the
+// reproducer seed and the full config so the trial can be replayed in
+// isolation.
 //
 // The same source builds two binaries: the quick tier (part of the default
 // ctest run) and a `slow`-labelled soak with EDSIM_FUZZ_SOAK defined.
@@ -17,7 +19,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,10 +34,14 @@
 #include "common/snapshot.hpp"
 #include "core/evaluator.hpp"
 #include "core/pareto.hpp"
+#include "core/system_config.hpp"
 #include "core/wcet.hpp"
 #include "dram/command_log.hpp"
 #include "dram/controller.hpp"
 #include "dram/multi_channel.hpp"
+#include "dram/presets.hpp"
+#include "dram/protocol_checker.hpp"
+#include "mpeg/trace_gen.hpp"
 #include "reliability/manager.hpp"
 #include "service/batch.hpp"
 #include "service/result_store.hpp"
@@ -50,10 +58,12 @@ using dram::Request;
 
 #ifdef EDSIM_FUZZ_SOAK
 constexpr int kSystemTrials = 400;
+constexpr int kDecoderTrials = 40;
 constexpr int kChannelTrials = 100;
 constexpr int kEvaluatorTrials = 20;
 #else
 constexpr int kSystemTrials = 18;
+constexpr int kDecoderTrials = 4;
 constexpr int kChannelTrials = 7;
 constexpr int kEvaluatorTrials = 3;
 #endif
@@ -310,6 +320,13 @@ reliability::ReliabilityConfig random_reliability(std::uint64_t seed) {
 // System-level differential: per-cycle/rescan reference vs per-cycle/
 // incremental vs fast-forward/incremental, all three bit-identical.
 
+/// Adds one trial's clients to a freshly built system; returns them as the
+/// WCET analysis sees them (empty when the roster is not modelled).
+using Roster =
+    std::function<std::vector<core::WcetClient>(clients::MemorySystem&)>;
+/// The trial's reliability recipe; nullopt runs without the layer.
+using Reliability = std::optional<reliability::ReliabilityConfig>;
+
 struct SystemRun {
   clients::MemorySystem sys;
   dram::CommandLog log;
@@ -317,22 +334,20 @@ struct SystemRun {
   std::unique_ptr<reliability::ReliabilityManager> rel;
   std::vector<core::WcetClient> wclients;
 
-  SystemRun(const DramConfig& cfg, std::uint64_t client_seed,
-            std::uint64_t span, bool with_reliability, std::uint64_t rel_seed,
-            bool fast_forward, bool incremental, bool burst,
-            std::uint64_t window)
+  SystemRun(const DramConfig& cfg, const Roster& roster,
+            const Reliability& rc, bool fast_forward, bool incremental,
+            bool burst, std::uint64_t window)
       : sys(cfg, clients::ArbiterKind::kRoundRobin), intervals(512) {
     sys.set_fast_forward(fast_forward);
     sys.set_burst_issue(burst);
     sys.controller().set_incremental_scheduling(incremental);
     sys.controller().attach_command_log(&log);
     sys.attach_telemetry(&intervals);
-    if (with_reliability) {
-      rel = std::make_unique<reliability::ReliabilityManager>(
-          cfg, random_reliability(rel_seed));
+    if (rc) {
+      rel = std::make_unique<reliability::ReliabilityManager>(cfg, *rc);
       sys.controller().attach_reliability(rel.get());
     }
-    wclients = add_random_clients(sys, cfg, span, client_seed);
+    wclients = roster(sys);
     sys.run(window);
     intervals.finish();
   }
@@ -352,9 +367,8 @@ struct SnapshotRun {
   telemetry::IntervalReporter intervals;
   std::unique_ptr<reliability::ReliabilityManager> rel;
 
-  SnapshotRun(const DramConfig& cfg, std::uint64_t client_seed,
-              std::uint64_t span, bool with_reliability,
-              std::uint64_t rel_seed, bool incremental, bool burst,
+  SnapshotRun(const DramConfig& cfg, const Roster& roster,
+              const Reliability& rc, bool incremental, bool burst,
               std::uint64_t cut, std::uint64_t window)
       : intervals(512) {
     const auto build = [&] {
@@ -364,13 +378,12 @@ struct SnapshotRun {
       s->controller().set_incremental_scheduling(incremental);
       s->controller().attach_command_log(&log);
       s->attach_telemetry(&intervals);
-      add_random_clients(*s, cfg, span, client_seed);
+      roster(*s);
       return s;
     };
     sys = build();
-    if (with_reliability) {
-      rel = std::make_unique<reliability::ReliabilityManager>(
-          cfg, random_reliability(rel_seed));
+    if (rc) {
+      rel = std::make_unique<reliability::ReliabilityManager>(cfg, *rc);
       sys->controller().attach_reliability(rel.get());
     }
     sys->run(cut);
@@ -384,9 +397,8 @@ struct SnapshotRun {
 
     sys = build();
     SnapshotReader r(blob);
-    if (with_reliability) {
-      rel = std::make_unique<reliability::ReliabilityManager>(
-          cfg, random_reliability(rel_seed));
+    if (rc) {
+      rel = std::make_unique<reliability::ReliabilityManager>(cfg, *rc);
       rel->load(r);
       sys->controller().attach_reliability(rel.get());
     }
@@ -436,16 +448,18 @@ TEST(DifferentialFuzz, SystemLevelThreeWayBitIdentical) {
     const bool with_rel = rng.next_bool(0.35);
     const std::uint64_t client_seed = derive_seed(seed, 1);
     const std::uint64_t rel_seed = derive_seed(seed, 2);
+    const Roster roster = [&](clients::MemorySystem& s) {
+      return add_random_clients(s, cfg, span, client_seed);
+    };
+    const Reliability rc =
+        with_rel ? Reliability(random_reliability(rel_seed)) : std::nullopt;
 
-    const SystemRun reference(cfg, client_seed, span, with_rel, rel_seed,
-                              /*fast_forward=*/false, /*incremental=*/false,
-                              /*burst=*/false, window);
-    const SystemRun incremental(cfg, client_seed, span, with_rel, rel_seed,
-                                /*fast_forward=*/false, /*incremental=*/true,
-                                /*burst=*/false, window);
-    const SystemRun fast(cfg, client_seed, span, with_rel, rel_seed,
-                         /*fast_forward=*/true, /*incremental=*/true,
-                         /*burst=*/false, window);
+    const SystemRun reference(cfg, roster, rc, /*fast_forward=*/false,
+                              /*incremental=*/false, /*burst=*/false, window);
+    const SystemRun incremental(cfg, roster, rc, /*fast_forward=*/false,
+                                /*incremental=*/true, /*burst=*/false, window);
+    const SystemRun fast(cfg, roster, rc, /*fast_forward=*/true,
+                         /*incremental=*/true, /*burst=*/false, window);
 
     {
       SCOPED_TRACE("per-cycle+incremental");
@@ -461,8 +475,8 @@ TEST(DifferentialFuzz, SystemLevelThreeWayBitIdentical) {
     // {per-cycle, fast-forward} x {rescan, incremental} cross.
     for (const bool bff : {false, true}) {
       for (const bool binc : {false, true}) {
-        const SystemRun burst(cfg, client_seed, span, with_rel, rel_seed, bff,
-                              binc, /*burst=*/true, window);
+        const SystemRun burst(cfg, roster, rc, bff, binc, /*burst=*/true,
+                              window);
         SCOPED_TRACE(std::string("burst+") +
                      (bff ? "fast-forward" : "per-cycle") + "+" +
                      (binc ? "incremental" : "rescan"));
@@ -515,13 +529,17 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     // bit-exactly (Controller::load re-derives them from the queue).
     const bool burst = trial % 2 == 1;
     const std::uint64_t client_seed = derive_seed(seed, 1);
-    const std::uint64_t rel_seed = derive_seed(seed, 2);
+    const Roster roster = [&](clients::MemorySystem& s) {
+      return add_random_clients(s, cfg, span, client_seed);
+    };
+    const Reliability rc = with_rel ? Reliability(random_reliability(
+                                          derive_seed(seed, 2)))
+                                    : std::nullopt;
 
-    const SystemRun straight(cfg, client_seed, span, with_rel, rel_seed,
-                             /*fast_forward=*/true, incremental, burst,
-                             window);
-    const SnapshotRun resumed(cfg, client_seed, span, with_rel, rel_seed,
-                              incremental, burst, cut, window);
+    const SystemRun straight(cfg, roster, rc, /*fast_forward=*/true,
+                             incremental, burst, window);
+    const SnapshotRun resumed(cfg, roster, rc, incremental, burst, cut,
+                              window);
     expect_system_runs_eq(straight, resumed);
 
     // Equal states must serialize to equal bytes (sorted-map dumps make
@@ -534,6 +552,101 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
       straight.rel->save(wa);
       resumed.rel->save(wb);
       EXPECT_EQ(wa.payload(), wb.payload());
+    }
+
+    if (HasFailure()) {
+      FAIL() << "reproduce with " << describe_trial(trial, seed, cfg)
+             << " cut=" << cut;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The §4.1 MPEG2 decoder roster (the library's live generators) on random
+// decoder-capable channels: the paced, mostly idle shape the event-driven
+// skip exists for. Every {per-cycle, fast-forward} x {burst off, on} mode
+// must match the per-cycle rescan reference, with and without the kFull
+// reliability ladder under a fault storm; the command stream must pass the
+// protocol checker, and a mid-run snapshot must resume bit-identically.
+
+DramConfig random_decoder_config(Rng& rng) {
+  // 16 Mbit holds the PAL decoder's memory map; everything else varies.
+  DramConfig cfg = dram::presets::edram_module(
+      16, pick(rng, {32u, 64u, 128u}), pick(rng, {2u, 4u, 8u}),
+      pick(rng, {1024u, 2048u}));
+  cfg.page_policy = pick(rng, {dram::PagePolicy::kOpen,
+                               dram::PagePolicy::kClosed,
+                               dram::PagePolicy::kTimeout});
+  cfg.page_timeout_cycles = 16 + static_cast<unsigned>(rng.next_below(64));
+  cfg.scheduler = pick(rng, {dram::SchedulerKind::kFcfs,
+                             dram::SchedulerKind::kFcfsPerBank,
+                             dram::SchedulerKind::kFrFcfs,
+                             dram::SchedulerKind::kReadFirst,
+                             dram::SchedulerKind::kTdm});
+  cfg.tdm_slot_cycles = 16 + static_cast<unsigned>(rng.next_below(113));
+  cfg.tdm_clients = 4;  // one slot per decoder client
+  cfg.mapping = pick(rng, {dram::AddressMapping::kRowBankCol,
+                           dram::AddressMapping::kBankRowCol,
+                           dram::AddressMapping::kPermutedBank});
+  cfg.queue_depth = pick(rng, {4u, 8u, 16u});
+  if (rng.next_bool(0.5)) {
+    cfg.powerdown_enabled = true;
+    cfg.powerdown_idle_cycles = 8 + static_cast<unsigned>(rng.next_below(56));
+    cfg.tXP = 2 + static_cast<unsigned>(rng.next_below(3));
+  }
+  return cfg;
+}
+
+std::vector<core::WcetClient> add_decoder_roster(clients::MemorySystem& sys) {
+  mpeg::DecoderConfig dc;
+  dc.format = mpeg::pal();
+  const mpeg::DecoderModel model(dc);
+  mpeg::add_decoder_clients(sys, model, model.build_memory_map());
+  return {};
+}
+
+TEST(DifferentialFuzz, DecoderRosterBitIdentical) {
+  for (int trial = 0; trial < kDecoderTrials; ++trial) {
+    const std::uint64_t seed =
+        derive_seed(kRootSeed, 50'000 + static_cast<std::uint64_t>(trial));
+    Rng rng(seed);
+    DramConfig cfg = random_decoder_config(rng);
+    // Alternate trials run the full reliability ladder (ECC, scrub, row
+    // remap, bank retirement) under a fault storm.
+    const bool with_rel = trial % 2 == 1;
+    Reliability rc;
+    if (with_rel) {
+      cfg.ecc_enabled = true;
+      cfg.watchdog_enabled = true;
+      cfg.watchdog_retries = 10;
+      rc = core::make_reliability_config(core::ReliabilityPreset::kFull,
+                                         derive_seed(seed, 2));
+      rc->inject.transient_per_mbit_ms = 20.0;
+      rc->inject.weak_cells = 12;
+    }
+    SCOPED_TRACE(describe_trial(trial, seed, cfg));
+    const std::uint64_t window = 60'000 + rng.next_below(90'000);
+    const std::uint64_t cut = 1 + rng.next_below(window - 1);
+    const Roster roster = add_decoder_roster;
+
+    const SystemRun reference(cfg, roster, rc, /*fast_forward=*/false,
+                              /*incremental=*/false, /*burst=*/false, window);
+    EXPECT_TRUE(dram::ProtocolChecker(cfg).verify(reference.log).empty());
+    EXPECT_GT(reference.sys.client_stats(1).completed, 0u);
+    for (const bool ff : {false, true}) {
+      for (const bool burst : {false, true}) {
+        const SystemRun run(cfg, roster, rc, ff, /*incremental=*/true, burst,
+                            window);
+        SCOPED_TRACE(std::string(ff ? "fast-forward" : "per-cycle") + "+" +
+                     (burst ? "burst" : "no-burst"));
+        expect_system_runs_eq(reference, run);
+      }
+    }
+    const SnapshotRun resumed(cfg, roster, rc, /*incremental=*/true,
+                              /*burst=*/true, cut, window);
+    {
+      SCOPED_TRACE("snapshot at " + std::to_string(cut));
+      expect_system_runs_eq(reference, resumed);
     }
 
     if (HasFailure()) {

@@ -1,24 +1,35 @@
 // Event-driven fast-forward equivalence: tick_until / advance_idle /
 // skip_quiet_stretch must be bit-identical to per-cycle ticking — same
 // ControllerStats, same completion times, byte-identical reliability
-// event log — and the parallel experiment harness must produce the same
-// bits at every thread count.
+// event log — every client kind must report exact wake-ups, and the
+// parallel experiment harness must produce the same bits at every thread
+// count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bist/yield.hpp"
 #include "clients/client.hpp"
+#include "clients/compiled_trace.hpp"
+#include "clients/extra_clients.hpp"
 #include "clients/multi_system.hpp"
+#include "clients/strided_gen.hpp"
 #include "clients/system.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/evaluator.hpp"
 #include "core/pareto.hpp"
+#include "core/system_config.hpp"
+#include "dram/command_log.hpp"
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
+#include "dram/protocol_checker.hpp"
+#include "mpeg/trace_gen.hpp"
 #include "reliability/manager.hpp"
 
 namespace edsim {
@@ -780,6 +791,283 @@ TEST(BurstIssue, RunToCompletionFiniteSaturatedStreams) {
   burst.run_to_completion();
   expect_systems_eq(ref, burst);
   EXPECT_EQ(ref.client_stats(0).completed, 4'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Wake-up contract (Client::next_request_cycle). skip_quiet_stretch leaps
+// to the minimum wake-up over all clients, so each kind must report its
+// wake-up exactly: an early answer is legal but one conservative client
+// (`now` while idle) disables skipping for the whole system, and a late
+// one breaks bit-identity. Every library client kind is driven through
+// its pacing by a minimal front end that accepts, rejects (every third
+// ready cycle) and completes requests `kLatency` cycles after acceptance.
+
+constexpr std::uint64_t kLatency = 7;
+
+/// Drives `c` for `cycles` cycles and checks the contract at every probe.
+/// Returns how many idle gaps ended exactly at their announced wake-up.
+std::uint64_t drive_wake_contract(clients::Client& c, std::uint64_t cycles) {
+  std::vector<Request> inflight;  // done_cycle = delivery cycle
+  std::uint64_t now = 0;
+  std::uint64_t ready_probes = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t wakes = 0;
+  while (now < cycles) {
+    std::uint64_t next_done = dram::kNeverCycle;
+    for (auto it = inflight.begin(); it != inflight.end();) {
+      if (it->done_cycle <= now) {
+        c.notify_complete(*it, now);
+        it = inflight.erase(it);
+      } else {
+        next_done = std::min(next_done, it->done_cycle);
+        ++it;
+      }
+    }
+    if (c.has_request(now)) {
+      EXPECT_EQ(c.next_request_cycle(now), now) << "ready at " << now;
+      if (++ready_probes % 3 == 0) {
+        c.notify_rejected(now);
+      } else {
+        Request r = c.make_request(now);
+        r.done_cycle = now + kLatency;
+        inflight.push_back(r);
+        ++accepted;
+      }
+      ++now;
+      continue;
+    }
+    const std::uint64_t wake = c.next_request_cycle(now);
+    EXPECT_GT(wake, now) << "idle at " << now
+                         << " but reports a wake-up now (conservative)";
+    if (wake <= now) return wakes;
+    if (wake == dram::kNeverCycle && next_done == dram::kNeverCycle) {
+      EXPECT_TRUE(c.finished()) << "never wakes at " << now;
+      break;
+    }
+    // Nothing may become ready before the wake-up unless a completion
+    // lands first; at the wake-up itself the client must be ready.
+    const std::uint64_t horizon = std::min({wake, next_done, cycles});
+    for (std::uint64_t t = now + 1; t < horizon; ++t) {
+      EXPECT_FALSE(c.has_request(t)) << "ready at " << t
+                                     << " before its wake-up " << wake;
+      if (::testing::Test::HasFailure()) return wakes;
+    }
+    if (wake < next_done && wake < cycles) {
+      EXPECT_TRUE(c.has_request(wake)) << "not ready at its wake-up " << wake;
+      ++wakes;
+    }
+    now = horizon;
+  }
+  EXPECT_GT(accepted, 0u);
+  return wakes;
+}
+
+TEST(WakeContract, StreamClient) {
+  clients::StreamClient::Params p;
+  p.period_cycles = 37;
+  p.total_requests = 200;
+  clients::StreamClient c(0, "stream", p);
+  EXPECT_GT(drive_wake_contract(c, 20'000), 100u);
+  EXPECT_TRUE(c.finished());
+}
+
+TEST(WakeContract, UnpacedStreamClient) {
+  clients::StreamClient::Params p;
+  p.period_cycles = 0;
+  p.total_requests = 300;
+  clients::StreamClient c(0, "stream", p);
+  drive_wake_contract(c, 2'000);
+  EXPECT_TRUE(c.finished());
+}
+
+TEST(WakeContract, StridedClient) {
+  clients::StridedClient::Params p;
+  p.period_cycles = 23;
+  p.total_requests = 150;
+  clients::StridedClient c(0, "strided", p);
+  EXPECT_GT(drive_wake_contract(c, 10'000), 100u);
+  EXPECT_TRUE(c.finished());
+}
+
+TEST(WakeContract, RandomClient) {
+  clients::RandomClient::Params p;
+  p.period_cycles = 51;
+  p.total_requests = 120;
+  clients::RandomClient c(0, "rand", p);
+  EXPECT_GT(drive_wake_contract(c, 20'000), 80u);
+  EXPECT_TRUE(c.finished());
+}
+
+std::vector<clients::TraceRecord> irregular_trace() {
+  std::vector<clients::TraceRecord> t;
+  Rng rng(21);
+  std::uint64_t cycle = 3;
+  for (int i = 0; i < 150; ++i) {
+    // Same-cycle pairs and long gaps both occur.
+    cycle += rng.next_bool(0.2) ? 0 : 1 + rng.next_below(90);
+    t.push_back({cycle, rng.next_below(1 << 20),
+                 rng.next_bool(0.3) ? dram::AccessType::kWrite
+                                    : dram::AccessType::kRead});
+  }
+  return t;
+}
+
+TEST(WakeContract, TraceClient) {
+  clients::TraceClient c(0, "trace", irregular_trace(), 32);
+  EXPECT_GT(drive_wake_contract(c, 20'000), 50u);
+  EXPECT_TRUE(c.finished());
+}
+
+TEST(WakeContract, PointerChaseClient) {
+  // Completion-blocked between loads: the wake-up is "never" while a load
+  // is outstanding and the think time after each completion.
+  clients::PointerChaseClient::Params p;
+  p.think_cycles = 13;
+  p.total_requests = 60;
+  clients::PointerChaseClient c(0, "chase", p);
+  EXPECT_GT(drive_wake_contract(c, 5'000), 40u);
+  EXPECT_TRUE(c.finished());
+}
+
+TEST(WakeContract, BurstyClient) {
+  clients::BurstyClient::Params p;
+  p.on_requests = 5;
+  p.off_cycles = 90;
+  p.total_requests = 200;
+  clients::BurstyClient c(0, "bursty", p);
+  EXPECT_GT(drive_wake_contract(c, 20'000), 30u);
+  EXPECT_TRUE(c.finished());
+}
+
+clients::SimdStridedClient::Params tiled_sweep() {
+  clients::SimdStridedClient::Params p;
+  p.width_bytes = 1024;
+  p.height = 16;
+  p.pattern = clients::StridePattern::kTiled;
+  p.period_cycles = 9;
+  p.total_requests = 300;
+  return p;
+}
+
+TEST(WakeContract, SimdStridedClient) {
+  clients::SimdStridedClient c(0, "simd", tiled_sweep());
+  EXPECT_GT(drive_wake_contract(c, 10'000), 200u);
+  EXPECT_TRUE(c.finished());
+}
+
+mpeg::McClient::Params paced_mc() {
+  mpeg::McClient::Params p;
+  p.block_period_cycles = 300;
+  p.total_blocks = 40;
+  return p;
+}
+
+TEST(WakeContract, McClient) {
+  // Rows of a block go out back-to-back; the gap to the next block start
+  // is the pacing the fast path skips.
+  mpeg::McClient c(0, paced_mc());
+  EXPECT_GT(drive_wake_contract(c, 30'000), 30u);
+  EXPECT_TRUE(c.finished());
+  EXPECT_EQ(c.blocks_issued(), 40u);
+}
+
+TEST(WakeContract, ArenaReplayEveryPacingKind) {
+  // kAfterAccept (compiled stream / strided sweep), kPacedClock +
+  // kImmediate (compiled MC blocks) and kAtCycle (compiled trace records).
+  clients::StreamClient::Params sp;
+  sp.period_cycles = 29;
+  sp.total_requests = 100;
+  const std::vector<std::pair<const char*,
+                              std::shared_ptr<const clients::CompiledTrace>>>
+      arenas = {
+          {"stream", clients::compile_stream(sp)},
+          {"simd", clients::compile_simd_strided(tiled_sweep())},
+          {"mc", mpeg::compile_mc(paced_mc())},
+          {"trace", clients::compile_trace_records(irregular_trace(), 32)},
+      };
+  for (const auto& [name, arena] : arenas) {
+    SCOPED_TRACE(name);
+    clients::ArenaReplayClient c(0, name, arena);
+    EXPECT_GT(drive_wake_contract(c, 30'000), 30u);
+    EXPECT_TRUE(c.finished());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The §4.1 MPEG2 decoder roster: the paper's own workload, and the one the
+// event-driven skip exists for (6% bus load). Every fast-path mode must be
+// bit-identical to per-cycle stepping, with and without the full
+// reliability ladder under a fault storm, and the command stream must
+// pass the protocol checker.
+
+struct DecoderRun {
+  DramConfig cfg;
+  std::unique_ptr<reliability::ReliabilityManager> rel;
+  dram::CommandLog log;
+  clients::MemorySystem sys;
+
+  static DramConfig channel(bool reliability) {
+    DramConfig c = dram::presets::edram_module(16, 64, 4, 2048);
+    c.ecc_enabled = reliability;
+    c.watchdog_enabled = reliability;
+    return c;
+  }
+
+  DecoderRun(bool reliability, bool fast_forward, bool burst,
+             std::uint64_t cycles)
+      : cfg(channel(reliability)),
+        sys(cfg, clients::ArbiterKind::kRoundRobin) {
+    sys.set_fast_forward(fast_forward);
+    sys.set_burst_issue(burst);
+    sys.controller().attach_command_log(&log);
+    if (reliability) {
+      reliability::ReliabilityConfig rc =
+          core::make_reliability_config(core::ReliabilityPreset::kFull, 31);
+      rc.inject.transient_per_mbit_ms = 20.0;
+      rc.inject.weak_cells = 12;
+      rel = std::make_unique<reliability::ReliabilityManager>(cfg, rc);
+      sys.controller().attach_reliability(rel.get());
+    }
+    mpeg::DecoderConfig dc;
+    dc.format = mpeg::pal();
+    const mpeg::DecoderModel model(dc);
+    mpeg::add_decoder_clients(sys, model, model.build_memory_map());
+    sys.run(cycles);
+  }
+};
+
+void expect_decoder_modes_match(bool reliability) {
+  constexpr std::uint64_t kCycles = 200'000;
+  const DecoderRun ref(reliability, /*fast_forward=*/false, /*burst=*/false,
+                       kCycles);
+  EXPECT_TRUE(dram::ProtocolChecker(ref.cfg).verify(ref.log).empty());
+  // Sanity: the window is the paced, mostly idle decode shape.
+  EXPECT_GT(ref.sys.client_stats(1).completed, 1'000u);
+  if (reliability) {
+    EXPECT_GT(ref.rel->counters().injected, 0u);
+  }
+  for (const bool ff : {false, true}) {
+    for (const bool burst : {false, true}) {
+      if (!ff && !burst) continue;
+      SCOPED_TRACE(std::string(ff ? "fast-forward" : "per-cycle") + "+" +
+                   (burst ? "burst" : "no-burst"));
+      const DecoderRun run(reliability, ff, burst, kCycles);
+      expect_systems_eq(ref.sys, run.sys);
+      EXPECT_EQ(ref.log.records(), run.log.records());
+      EXPECT_TRUE(dram::ProtocolChecker(run.cfg).verify(run.log).empty());
+      if (reliability) {
+        EXPECT_EQ(ref.rel->event_log(), run.rel->event_log());
+      }
+    }
+  }
+}
+
+TEST(DecoderRoster, FastPathsMatchPerCycle) {
+  expect_decoder_modes_match(/*reliability=*/false);
+}
+
+TEST(DecoderRoster, FastPathsMatchPerCycleWithFullReliability) {
+  expect_decoder_modes_match(/*reliability=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Snapshot/restore suite: deterministic round trips for every serialized
 // layer (memory system, multi-channel, reliability manager incl. the
-// maintenance engine), canonical-bytes checks, and the corruption fuzz —
-// every single-byte flip and every truncation of a sealed snapshot must
-// yield a structured Error{kSnapshotFormat}, never undefined behaviour
-// (the same discipline as the .edtrc trace-format corruption fuzz).
+// maintenance engine, the live §4.1 decoder roster), canonical-bytes
+// checks, and the corruption fuzz — every single-byte flip and every
+// truncation of a sealed snapshot must yield a structured
+// Error{kSnapshotFormat}, never undefined behaviour (the same discipline
+// as the .edtrc trace-format corruption fuzz).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "dram/multi_channel.hpp"
+#include "dram/presets.hpp"
+#include "mpeg/trace_gen.hpp"
 #include "reliability/manager.hpp"
 
 namespace edsim {
@@ -299,6 +302,62 @@ TEST(Snapshot, RngStreamResumes) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
+// The §4.1 decoder roster with live generators (no arenas): the motion-
+// compensation client's RNG, block cursor and pacing must survive a cut
+// anywhere — between blocks or mid-block — so that the restored run
+// equals the uninterrupted one.
+std::unique_ptr<clients::MemorySystem> build_decoder_system() {
+  auto sys = std::make_unique<clients::MemorySystem>(
+      dram::presets::edram_module(16, 64, 4, 2048),
+      clients::ArbiterKind::kRoundRobin);
+  mpeg::DecoderConfig dc;
+  dc.format = mpeg::pal();
+  const mpeg::DecoderModel model(dc);
+  mpeg::add_decoder_clients(*sys, model, model.build_memory_map());
+  return sys;
+}
+
+TEST(Snapshot, LiveDecoderRosterRestoreMatchesUninterruptedRun) {
+  constexpr std::uint64_t kWindow = 200'000;
+  auto straight = build_decoder_system();
+  straight->run(kWindow);
+  const dram::ControllerStats& want = straight->controller().stats();
+
+  for (const std::uint64_t cut : {1'000u, 77'777u, 123'457u}) {
+    SCOPED_TRACE(cut);
+    auto first = build_decoder_system();
+    first->run(cut);
+    const std::vector<std::uint8_t> blob = first->save_snapshot();
+    auto resumed = build_decoder_system();
+    resumed->restore_snapshot(blob);
+    resumed->run(kWindow - cut);
+
+    const dram::ControllerStats& got = resumed->controller().stats();
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.row_hits, want.row_hits);
+    EXPECT_EQ(got.row_conflicts, want.row_conflicts);
+    EXPECT_EQ(got.activations, want.activations);
+    EXPECT_EQ(got.refreshes, want.refreshes);
+    EXPECT_EQ(got.data_bus_busy_cycles, want.data_bus_busy_cycles);
+    EXPECT_EQ(got.read_latency.sum(), want.read_latency.sum());
+    EXPECT_EQ(got.queue_occupancy.sum(), want.queue_occupancy.sum());
+    for (std::size_t i = 0; i < straight->client_count(); ++i) {
+      const clients::ClientStats& a = straight->client_stats(i);
+      const clients::ClientStats& b = resumed->client_stats(i);
+      EXPECT_EQ(a.issued, b.issued) << "client " << i;
+      EXPECT_EQ(a.completed, b.completed) << "client " << i;
+      EXPECT_EQ(a.stall_cycles, b.stall_cycles) << "client " << i;
+      EXPECT_EQ(a.latency.sum(), b.latency.sum()) << "client " << i;
+      EXPECT_EQ(a.outstanding.sum(), b.outstanding.sum()) << "client " << i;
+    }
+    // Equal states serialize to equal bytes: covers every remaining
+    // counter, accumulator and generator register.
+    EXPECT_EQ(straight->save_snapshot(), resumed->save_snapshot());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Structural validation: mismatched recipes are rejected, not mangled.
 
@@ -353,6 +412,35 @@ TEST(Snapshot, BankCountMismatchRejected) {
   try {
     other->restore_snapshot(blob);
     FAIL() << "restore into a different geometry must throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
+  }
+}
+
+TEST(Snapshot, McClientRowCursorOutOfRangeRejected) {
+  mpeg::McClient::Params p;
+  p.rows_per_block = 4;
+  const mpeg::McClient source(0, p);
+  SnapshotWriter w;
+  source.save_state(w);
+  const std::vector<std::uint8_t> blob = w.seal();
+  // Re-encode with the row cursor (after the RNG state and block base)
+  // past the block height.
+  SnapshotReader r(blob);
+  SnapshotWriter bad;
+  Rng rng(0);
+  rng.load(r);
+  rng.save(bad);
+  bad.u64(r.u64());  // block base
+  r.u32();
+  bad.u32(p.rows_per_block + 1);
+  while (!r.at_end()) bad.u64(r.u64());
+  const std::vector<std::uint8_t> bad_blob = bad.seal();
+  mpeg::McClient target(0, p);
+  SnapshotReader rb(bad_blob);
+  try {
+    target.load_state(rb);
+    FAIL() << "out-of-range row cursor accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
   }

@@ -7,7 +7,10 @@
 # evaluation, uniform-tREFI vs self-managed maintenance, per-cycle vs
 # burst-issue dense traffic — so one file holds both sides of each
 # comparison, plus the per-scheduler-policy runs whose counters pair the
-# simulated bandwidth/latency with the analytical WCET bound.
+# simulated bandwidth/latency with the analytical WCET bound. The context
+# section also records the source size (lines of src/ and of the channel
+# controller), so every snapshot pairs its timings with the code that
+# produced them.
 #
 # Build-type provenance: the "library_build_type" field google-benchmark
 # writes into the JSON context describes the SYSTEM-PACKAGED harness
@@ -29,7 +32,6 @@ cd "$(dirname "$0")/.."
 read_pairs() {
   cat <<'PAIRS'
 idle-heavy run (fast-forward)|BM_IdleHeavyPerCycle|BM_IdleHeavyFastForward
-deep-queue scheduling (incremental)|BM_BuildCandidatesBaseline|BM_BuildCandidatesIncremental
 4-channel tick_until (thread fan-out)|BM_MultiChannelTickUntil/4/1|BM_MultiChannelTickUntil/4/0
 8-channel tick_until (thread fan-out)|BM_MultiChannelTickUntil/8/1|BM_MultiChannelTickUntil/8/0
 design-space sweep (thread pool)|BM_DesignSpaceSweep/1|BM_DesignSpaceSweep/0
@@ -135,10 +137,16 @@ if [[ "$build_type" != "Release" ]]; then
   exit 1
 fi
 
+src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
+  xargs -0 cat | wc -l)"
+controller_lines="$(wc -l < src/dram/controller.cpp)"
+
 build-release/bench/perf_microbench \
   --benchmark_out="BENCH_${N}.json" \
   --benchmark_out_format=json \
   --benchmark_context=edsim_build_type="$build_type" \
+  --benchmark_context=src_lines="${src_lines// /}" \
+  --benchmark_context=controller_cpp_lines="${controller_lines// /}" \
   "$@"
 
 # Console summary of the headline before/after pairs, when python3 exists.

@@ -10,9 +10,9 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Differential fuzz gate: the fast-forward fast paths (incremental
-# scheduling, cached event minima, channel fan-out) vs the per-cycle
-# rescan reference, quick tier. The slow soak runs under `ctest -L slow`.
+# Differential fuzz gate: the fast paths (fast-forward, burst issue,
+# channel fan-out) vs the per-cycle reference, quick tier. The slow soak
+# runs under `ctest -L slow`.
 echo
 echo "differential fuzz (quick tier):"
 build/tests/edsim_fuzz_tests

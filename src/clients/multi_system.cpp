@@ -85,7 +85,7 @@ void MultiChannelSystem::step() {
 void MultiChannelSystem::skip_quiet_stretch(std::uint64_t end) {
   if (cycle_ >= end) return;
   if (memory_.has_completions()) return;
-  // Clients first: the channels' event bound costs a heap walk per
+  // Clients first: the channels' event bound costs a queue pass per
   // channel and is wasted whenever a client is ready.
   std::uint64_t stop = end;
   for (std::size_t i = 0; i < clients_.size(); ++i) {

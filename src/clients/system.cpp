@@ -93,7 +93,7 @@ void MemorySystem::skip_quiet_stretch(std::uint64_t end) {
   // (delivery + notify_complete at its exact cycle).
   if (controller_.has_completions()) return;
   // Clients first: a ready one ends the probe before the controller's
-  // event bound (a walk over its release heaps) is ever computed.
+  // event bound (a pass over its queue) is ever computed.
   std::uint64_t stop = end;
   if (!clients_paused_) {
     for (const auto& c : clients_) {

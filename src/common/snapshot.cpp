@@ -132,12 +132,18 @@ void SnapshotReader::bytes(void* p, std::size_t n) {
 }
 
 std::string SnapshotReader::str() {
-  const std::uint64_t n = u64();
-  if (n > end_ - off_) throw_format("snapshot string truncated");
-  std::string s(reinterpret_cast<const char*>(data_ + off_),
-                static_cast<std::size_t>(n));
-  off_ += static_cast<std::size_t>(n);
+  const std::size_t n = count();
+  std::string s(reinterpret_cast<const char*>(data_ + off_), n);
+  off_ += n;
   return s;
+}
+
+std::size_t SnapshotReader::count() {
+  const std::uint64_t n = u64();
+  if (n > end_ - off_) {
+    throw_format("snapshot element count exceeds the remaining payload");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 void SnapshotReader::expect_end() const {

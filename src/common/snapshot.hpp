@@ -9,8 +9,9 @@ namespace edsim {
 /// Version byte of the snapshot envelope. Bump on any layout change; the
 /// reader rejects mismatches with Error{kSnapshotFormat} instead of
 /// misinterpreting bytes. Version 2 added the MPEG2 motion-compensation
-/// client's generator registers to MemorySystem snapshots.
-inline constexpr std::uint8_t kSnapshotVersion = 2;
+/// client's generator registers to MemorySystem snapshots; version 3
+/// dropped the controller's reliability-event watermark.
+inline constexpr std::uint8_t kSnapshotVersion = 3;
 
 /// Append-only encoder for simulator-state snapshots. Integers are LEB128
 /// varints (the `.edtrc` idiom from common/varint.hpp); doubles are their
@@ -55,6 +56,10 @@ class SnapshotReader {
   bool boolean();
   void bytes(void* p, std::size_t n);
   std::string str();
+  /// Element count of a serialized sequence. Every element takes at least
+  /// one payload byte, so a count above the unread payload is rejected
+  /// here, before a loader sizes a container from it.
+  std::size_t count();
 
   bool at_end() const { return off_ == end_; }
   /// Throw unless the whole payload was consumed (catches layout skew).

@@ -120,10 +120,10 @@ void SampleSet::save(SnapshotWriter& w) const {
 }
 
 void SampleSet::load(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
+  const std::size_t n = r.count();
   samples_.clear();
   samples_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) samples_.push_back(r.f64());
+  for (std::size_t i = 0; i < n; ++i) samples_.push_back(r.f64());
   sorted_ = r.boolean();
 }
 

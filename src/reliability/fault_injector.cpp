@@ -190,10 +190,10 @@ void FaultInjector::load(SnapshotReader& r) {
   for (std::uint64_t i = 0; i < rows; ++i) {
     const std::uint64_t key = r.u64();
     if (key >= key_end) r.fail("weak-cell row key out of range");
-    const std::uint64_t n = r.u64();
+    const std::size_t n = r.count();
     auto& cells = weak_[key];
     cells.reserve(n);
-    for (std::uint64_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       WeakCell c;
       c.bit = r.u32();
       c.retention_cycles = r.f64();

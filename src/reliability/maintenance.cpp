@@ -299,10 +299,10 @@ void MaintenanceEngine::load(SnapshotReader& r) {
   }
   for (BinState& st : bin_state_) {
     st.rows.clear();
-    const std::uint64_t n = r.u64();
+    const std::size_t n = r.count();
     if (n > rows_) r.fail("bin membership out of range");
     st.rows.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) st.rows.push_back(r.u32());
+    for (std::size_t i = 0; i < n; ++i) st.rows.push_back(r.u32());
     st.ptr = r.u64();
     if (st.ptr >= std::max<std::size_t>(1, st.rows.size())) {
       r.fail("bin sweep pointer out of range");

@@ -496,9 +496,9 @@ void ReliabilityManager::load(SnapshotReader& r) {
     const std::uint64_t key = r.u64();
     if (key >= key_end) r.fail("faulty-row key out of range");
     RowState& st = faulty_rows_[key];
-    const std::uint64_t n_bits = r.u64();
+    const std::size_t n_bits = r.count();
     st.bad_bits.reserve(n_bits);
-    for (std::uint64_t j = 0; j < n_bits; ++j) {
+    for (std::size_t j = 0; j < n_bits; ++j) {
       const std::uint32_t b = r.u32();
       if (b >= page_bits_) r.fail("faulty bit out of range");
       st.bad_bits.push_back(b);
@@ -512,13 +512,13 @@ void ReliabilityManager::load(SnapshotReader& r) {
   for (bist::RepairPlan& p : plans_) {
     p.feasible = r.boolean();
     p.replaced_rows.clear();
-    const std::uint64_t nr = r.u64();
+    const std::size_t nr = r.count();
     p.replaced_rows.reserve(nr);
-    for (std::uint64_t i = 0; i < nr; ++i) p.replaced_rows.push_back(r.u32());
+    for (std::size_t i = 0; i < nr; ++i) p.replaced_rows.push_back(r.u32());
     p.replaced_cols.clear();
-    const std::uint64_t nc = r.u64();
+    const std::size_t nc = r.count();
     p.replaced_cols.reserve(nc);
-    for (std::uint64_t i = 0; i < nc; ++i) p.replaced_cols.push_back(r.u32());
+    for (std::size_t i = 0; i < nc; ++i) p.replaced_cols.push_back(r.u32());
   }
 
   refresh_ptr_ = r.u32();
@@ -542,9 +542,9 @@ void ReliabilityManager::load(SnapshotReader& r) {
   max_disturb_ = r.u32();
 
   log_.clear();
-  const std::uint64_t n_events = r.u64();
+  const std::size_t n_events = r.count();
   log_.reserve(n_events);
-  for (std::uint64_t i = 0; i < n_events; ++i) {
+  for (std::size_t i = 0; i < n_events; ++i) {
     ReliabilityEvent ev;
     ev.cycle = r.u64();
     const std::uint32_t kind = r.u32();

@@ -14,8 +14,8 @@ namespace edsim::service {
 /// record payload layout (it covers the wire.hpp Metrics encoding); the
 /// reader rejects mismatches with Error{kStoreFormat} instead of
 /// misinterpreting bytes. Records are snapshot envelopes, so a
-/// kSnapshotVersion bump bumps this too (version 3 = snapshot version 2).
-inline constexpr std::uint8_t kResultStoreVersion = 3;
+/// kSnapshotVersion bump bumps this too (version 4 = snapshot version 3).
+inline constexpr std::uint8_t kResultStoreVersion = 4;
 
 /// Content-addressed, on-disk evaluation cache: an append log of
 /// (result_key, Metrics) records behind the in-memory memo, so design

@@ -1,10 +1,9 @@
 // Randomized differential testing for the fast-forward and burst-issue
 // fast paths: every generated configuration must produce bit-identical
 // final stats, command logs, and interval telemetry between the per-cycle
-// reference with from-scratch candidate rescans (all fast paths off) and
-// every combination of {per-cycle, fast-forward} x {rescan, incremental}
-// x {burst-issue on, off} — and, for multi-channel, at 1, 2 and 8 tick
-// threads. A slice of the client mixes is high-demand (near-zero pacing,
+// reference (all fast paths off) and every combination of {per-cycle,
+// fast-forward} x {burst-issue on, off} — and, for multi-channel, at 1, 2
+// and 8 tick threads. A slice of the client mixes is high-demand (near-zero pacing,
 // thousands of requests) so the dense-traffic burst path actually
 // engages, and the §4.1 MPEG2 decoder roster runs on random
 // decoder-capable channels as its own trial set. Any failure prints the
@@ -168,7 +167,7 @@ DramConfig random_config(Rng& rng) {
                            dram::AddressMapping::kBankRowCol,
                            dram::AddressMapping::kRowColBank,
                            dram::AddressMapping::kPermutedBank});
-  cfg.queue_depth = pick(rng, {4u, 8u, 16u, 32u});
+  cfg.queue_depth = pick(rng, {4u, 8u, 16u, 32u, 64u});
   cfg.refresh_enabled = rng.next_bool(0.8);
   cfg.refresh_burst = pick(rng, {1u, 2u, 4u});
   if (rng.next_bool(0.4)) {
@@ -317,8 +316,8 @@ reliability::ReliabilityConfig random_reliability(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// System-level differential: per-cycle/rescan reference vs per-cycle/
-// incremental vs fast-forward/incremental, all three bit-identical.
+// System-level differential: the per-cycle reference vs fast-forward vs
+// burst issue (per-cycle and fast-forward), all bit-identical.
 
 /// Adds one trial's clients to a freshly built system; returns them as the
 /// WCET analysis sees them (empty when the roster is not modelled).
@@ -335,12 +334,11 @@ struct SystemRun {
   std::vector<core::WcetClient> wclients;
 
   SystemRun(const DramConfig& cfg, const Roster& roster,
-            const Reliability& rc, bool fast_forward, bool incremental,
-            bool burst, std::uint64_t window)
+            const Reliability& rc, bool fast_forward, bool burst,
+            std::uint64_t window)
       : sys(cfg, clients::ArbiterKind::kRoundRobin), intervals(512) {
     sys.set_fast_forward(fast_forward);
     sys.set_burst_issue(burst);
-    sys.controller().set_incremental_scheduling(incremental);
     sys.controller().attach_command_log(&log);
     sys.attach_telemetry(&intervals);
     if (rc) {
@@ -368,14 +366,13 @@ struct SnapshotRun {
   std::unique_ptr<reliability::ReliabilityManager> rel;
 
   SnapshotRun(const DramConfig& cfg, const Roster& roster,
-              const Reliability& rc, bool incremental, bool burst,
-              std::uint64_t cut, std::uint64_t window)
+              const Reliability& rc, bool burst, std::uint64_t cut,
+              std::uint64_t window)
       : intervals(512) {
     const auto build = [&] {
       auto s = std::make_unique<clients::MemorySystem>(
           cfg, clients::ArbiterKind::kRoundRobin);
       s->set_burst_issue(burst);
-      s->controller().set_incremental_scheduling(incremental);
       s->controller().attach_command_log(&log);
       s->attach_telemetry(&intervals);
       roster(*s);
@@ -455,33 +452,22 @@ TEST(DifferentialFuzz, SystemLevelThreeWayBitIdentical) {
         with_rel ? Reliability(random_reliability(rel_seed)) : std::nullopt;
 
     const SystemRun reference(cfg, roster, rc, /*fast_forward=*/false,
-                              /*incremental=*/false, /*burst=*/false, window);
-    const SystemRun incremental(cfg, roster, rc, /*fast_forward=*/false,
-                                /*incremental=*/true, /*burst=*/false, window);
+                              /*burst=*/false, window);
     const SystemRun fast(cfg, roster, rc, /*fast_forward=*/true,
-                         /*incremental=*/true, /*burst=*/false, window);
-
+                         /*burst=*/false, window);
     {
-      SCOPED_TRACE("per-cycle+incremental");
-      expect_system_runs_eq(reference, incremental);
-    }
-    {
-      SCOPED_TRACE("fast-forward+incremental");
+      SCOPED_TRACE("fast-forward");
       expect_system_runs_eq(reference, fast);
     }
 
     // Burst-issue axis: the dense-traffic fast path rides the same
-    // contract as fast-forward, so it is fuzzed across the full
-    // {per-cycle, fast-forward} x {rescan, incremental} cross.
+    // contract as fast-forward, so it is fuzzed both per-cycle and under
+    // fast-forward.
     for (const bool bff : {false, true}) {
-      for (const bool binc : {false, true}) {
-        const SystemRun burst(cfg, roster, rc, bff, binc, /*burst=*/true,
-                              window);
-        SCOPED_TRACE(std::string("burst+") +
-                     (bff ? "fast-forward" : "per-cycle") + "+" +
-                     (binc ? "incremental" : "rescan"));
-        expect_system_runs_eq(reference, burst);
-      }
+      const SystemRun burst(cfg, roster, rc, bff, /*burst=*/true, window);
+      SCOPED_TRACE(std::string("burst+") +
+                   (bff ? "fast-forward" : "per-cycle"));
+      expect_system_runs_eq(reference, burst);
     }
 
     // WCET oracles (core/wcet.hpp): the run can never move more bytes
@@ -523,7 +509,6 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t window = 20'000 + rng.next_below(30'000);
     const bool with_rel = rng.next_bool(0.5);
     const std::uint64_t cut = 1 + rng.next_below(window - 1);
-    const bool incremental = trial % 2 == 0;
     // Half the snapshot trials run with burst issue on: a cut can land
     // mid-streak, so restore must rebuild the pre-decoded queue arrays
     // bit-exactly (Controller::load re-derives them from the queue).
@@ -536,10 +521,9 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
                                           derive_seed(seed, 2)))
                                     : std::nullopt;
 
-    const SystemRun straight(cfg, roster, rc, /*fast_forward=*/true,
-                             incremental, burst, window);
-    const SnapshotRun resumed(cfg, roster, rc, incremental, burst, cut,
-                              window);
+    const SystemRun straight(cfg, roster, rc, /*fast_forward=*/true, burst,
+                             window);
+    const SnapshotRun resumed(cfg, roster, rc, burst, cut, window);
     expect_system_runs_eq(straight, resumed);
 
     // Equal states must serialize to equal bytes (sorted-map dumps make
@@ -565,7 +549,7 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
 // The §4.1 MPEG2 decoder roster (the library's live generators) on random
 // decoder-capable channels: the paced, mostly idle shape the event-driven
 // skip exists for. Every {per-cycle, fast-forward} x {burst off, on} mode
-// must match the per-cycle rescan reference, with and without the kFull
+// must match the per-cycle reference, with and without the kFull
 // reliability ladder under a fault storm; the command stream must pass the
 // protocol checker, and a mid-run snapshot must resume bit-identically.
 
@@ -588,7 +572,7 @@ DramConfig random_decoder_config(Rng& rng) {
   cfg.mapping = pick(rng, {dram::AddressMapping::kRowBankCol,
                            dram::AddressMapping::kBankRowCol,
                            dram::AddressMapping::kPermutedBank});
-  cfg.queue_depth = pick(rng, {4u, 8u, 16u});
+  cfg.queue_depth = pick(rng, {4u, 8u, 16u, 64u});
   if (rng.next_bool(0.5)) {
     cfg.powerdown_enabled = true;
     cfg.powerdown_idle_cycles = 8 + static_cast<unsigned>(rng.next_below(56));
@@ -630,20 +614,18 @@ TEST(DifferentialFuzz, DecoderRosterBitIdentical) {
     const Roster roster = add_decoder_roster;
 
     const SystemRun reference(cfg, roster, rc, /*fast_forward=*/false,
-                              /*incremental=*/false, /*burst=*/false, window);
+                              /*burst=*/false, window);
     EXPECT_TRUE(dram::ProtocolChecker(cfg).verify(reference.log).empty());
     EXPECT_GT(reference.sys.client_stats(1).completed, 0u);
     for (const bool ff : {false, true}) {
       for (const bool burst : {false, true}) {
-        const SystemRun run(cfg, roster, rc, ff, /*incremental=*/true, burst,
-                            window);
+        const SystemRun run(cfg, roster, rc, ff, burst, window);
         SCOPED_TRACE(std::string(ff ? "fast-forward" : "per-cycle") + "+" +
                      (burst ? "burst" : "no-burst"));
         expect_system_runs_eq(reference, run);
       }
     }
-    const SnapshotRun resumed(cfg, roster, rc, /*incremental=*/true,
-                              /*burst=*/true, cut, window);
+    const SnapshotRun resumed(cfg, roster, rc, /*burst=*/true, cut, window);
     {
       SCOPED_TRACE("snapshot at " + std::to_string(cut));
       expect_system_runs_eq(reference, resumed);
@@ -695,16 +677,14 @@ struct ChannelRun {
   std::vector<Request> completions;
 
   ChannelRun(const DramConfig& cfg, unsigned channels,
-             dram::ChannelInterleave il, unsigned threads, bool incremental,
-             bool burst, const std::vector<ChannelArrival>& trace,
-             std::uint64_t window)
+             dram::ChannelInterleave il, unsigned threads, bool burst,
+             const std::vector<ChannelArrival>& trace, std::uint64_t window)
       : mc(cfg, channels, il) {
     mc.set_tick_threads(threads);
     for (unsigned c = 0; c < channels; ++c) {
       logs.push_back(std::make_unique<dram::CommandLog>());
       intervals.push_back(std::make_unique<telemetry::IntervalReporter>(512));
       mc.channel(c).attach_command_log(logs.back().get());
-      mc.channel(c).set_incremental_scheduling(incremental);
       mc.channel(c).set_burst_issue(burst);
       mc.attach_telemetry(c, intervals.back().get());
     }
@@ -773,15 +753,14 @@ TEST(DifferentialFuzz, MultiChannelBitIdenticalAcrossThreadCounts) {
     const std::vector<ChannelArrival> trace =
         random_channel_trace(rng, span, window);
 
-    // Reference: serial walk, from-scratch rescan scheduling, burst
-    // issue off. The sweep runs burst on, so the direct tick_until drive
-    // (no MemorySystem front end) exercises the closed-form path too.
+    // Reference: serial walk, burst issue off. The sweep runs burst on, so
+    // the direct tick_until drive (no MemorySystem front end) exercises
+    // the closed-form path too.
     const ChannelRun reference(cfg, channels, il, /*threads=*/1,
-                               /*incremental=*/false, /*burst=*/false, trace,
-                               window);
+                               /*burst=*/false, trace, window);
     for (const unsigned threads : {1u, 2u, 8u}) {
-      const ChannelRun run(cfg, channels, il, threads, /*incremental=*/true,
-                           /*burst=*/true, trace, window);
+      const ChannelRun run(cfg, channels, il, threads, /*burst=*/true, trace,
+                           window);
       SCOPED_TRACE("tick_threads=" + std::to_string(threads));
       expect_channel_runs_eq(reference, run);
     }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -508,6 +509,90 @@ TEST(SnapshotCorruption, VersionMismatchRejected) {
     FAIL() << "future-version snapshot accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat);
+  }
+}
+
+/// Byte length of the LEB128 varint starting at `at`, or 0 when none ends
+/// inside the payload (or it runs past 10 bytes).
+std::size_t varint_length(const std::vector<std::uint8_t>& payload,
+                          std::size_t at) {
+  for (std::size_t i = at; i < payload.size() && i - at < 10; ++i) {
+    if ((payload[i] & 0x80) == 0) return i - at + 1;
+  }
+  return 0;
+}
+
+/// Every varint position of `payload` in turn is overwritten with a huge
+/// element count and re-sealed, so the checksum is valid and only the
+/// loader's own checks stand between the count and a container size.
+/// `load` must then fail with Error{kSnapshotFormat} (or load cleanly when
+/// the position was not a count); any other exception is a bug.
+template <typename Load>
+void expect_huge_counts_rejected(const std::vector<std::uint8_t>& payload,
+                                 const Load& load) {
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    const std::size_t len = varint_length(payload, at);
+    if (len == 0) continue;
+    SnapshotWriter w;
+    w.bytes(payload.data(), at);
+    w.u64(std::uint64_t{1} << 61);
+    w.bytes(payload.data() + at + len, payload.size() - at - len);
+    const std::vector<std::uint8_t> blob = w.seal();
+    try {
+      SnapshotReader r(blob);
+      load(r);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kSnapshotFormat) << "splice at " << at;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "splice at byte " << at << " escaped as "
+                    << e.what();
+    }
+  }
+}
+
+TEST(SnapshotCorruption, HugeElementCountsRejected) {
+  {
+    SampleSet s;
+    for (int i = 0; i < 5; ++i) s.add(i);
+    SnapshotWriter w;
+    s.save(w);
+    expect_huge_counts_rejected(w.payload(), [](SnapshotReader& r) {
+      SampleSet t;
+      t.load(r);
+    });
+  }
+  const dram::DramConfig cfg = small_config();
+  {
+    // Queued, in-flight and completed requests all present.
+    dram::Controller ctl(cfg);
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      dram::Request q;
+      q.addr = i * cfg.page_bytes * cfg.banks;
+      ctl.enqueue(q);
+    }
+    for (int c = 0; c < 60; ++c) ctl.tick();
+    ASSERT_TRUE(ctl.has_completions());
+    SnapshotWriter w;
+    ctl.save(w);
+    expect_huge_counts_rejected(w.payload(), [&](SnapshotReader& r) {
+      dram::Controller fresh(cfg);
+      fresh.load(r);
+    });
+  }
+  {
+    // Reliability manager after a fault storm: bad bits, repair plans,
+    // the event log and the injector's weak cells.
+    auto sys = build_system(cfg);
+    reliability::ReliabilityManager rel(cfg, reliability_recipe());
+    sys->controller().attach_reliability(&rel);
+    sys->run(9'000);
+    ASSERT_FALSE(rel.event_log().empty());
+    SnapshotWriter w;
+    rel.save(w);
+    expect_huge_counts_rejected(w.payload(), [&](SnapshotReader& r) {
+      reliability::ReliabilityManager fresh(cfg, reliability_recipe());
+      fresh.load(r);
+    });
   }
 }
 

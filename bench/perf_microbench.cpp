@@ -655,11 +655,12 @@ void BM_SampledRun(benchmark::State& state) {
 BENCHMARK(BM_SampledRun)->Unit(benchmark::kMillisecond);
 
 // --- deep-queue scheduling --------------------------------------------------
-// Deep queue, bursty arrivals, event-driven drive: every round rebuilds the
-// candidate list and every bulk step asks next_event_cycle, so the cost of
-// one scheduling pass over the queue dominates. The queue is 512 deep, far
-// past any depth the examples or the reproduction run (2–64), so this
-// records the worst-case absolute cost of the scheduling round.
+// Deep queue, bursty arrivals, event-driven drive: every round fills the
+// queue masks in one pass over the queue and every bulk step asks
+// next_event_cycle, so the cost of one scheduling pass over the queue
+// dominates. The queue is 512 deep, far past any depth the examples or the
+// reproduction run (2–64), so this records the worst-case absolute cost of
+// the scheduling round.
 
 std::uint64_t run_deep_queue() {
   dram::DramConfig cfg = dram::presets::edram_module(64, 128, 16, 2048);
@@ -695,6 +696,45 @@ void BM_DeepQueueScheduling(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) * 150 * 400);
 }
 BENCHMARK(BM_DeepQueueScheduling)->Unit(benchmark::kMillisecond);
+
+// Companion at the default depth, in the benchmark's dense_mix channel
+// shape (16 Mbit, 4 banks, 32-deep queue, FR-FCFS): the queue is topped up
+// to full before every cycle, so every tick runs a full scheduling round.
+
+constexpr std::uint64_t kDenseQueueCycles = 200'000;
+
+std::uint64_t run_dense_queue() {
+  const dram::DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
+  dram::Controller ctl(cfg);
+  Rng rng(12);
+  const std::uint64_t beats = cfg.capacity().byte_count() /
+                              cfg.bytes_per_access();
+  std::uint64_t next = 0;
+  std::vector<dram::Request> sink;
+  for (std::uint64_t c = 0; c < kDenseQueueCycles; ++c) {
+    while (!ctl.queue_full()) {
+      // Half sequential (row hits), half random (misses and conflicts).
+      next = rng.next_bool(0.5) ? next + 1 : rng.next_below(beats);
+      dram::Request r;
+      r.addr = (next % beats) * cfg.bytes_per_access();
+      r.type = rng.next_bool(0.3) ? dram::AccessType::kWrite
+                                  : dram::AccessType::kRead;
+      ctl.enqueue(r);
+    }
+    ctl.tick();
+    ctl.drain_completed_into(sink);
+  }
+  return ctl.stats().reads + ctl.stats().writes;
+}
+
+void BM_DenseQueueScheduling(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_dense_queue());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * static_cast<std::int64_t>(kDenseQueueCycles)));
+}
+BENCHMARK(BM_DenseQueueScheduling)->Unit(benchmark::kMillisecond);
 
 // --- multi-channel tick_until: serial vs fanned-out ------------------------
 // Args: (channels, tick threads); threads=1 forces the serial walk, 0 uses

@@ -23,44 +23,6 @@ const char* to_string(AccessType t) {
   return t == AccessType::kRead ? "R" : "W";
 }
 
-bool Bank::can_issue(Command cmd, std::uint64_t cycle) const {
-  switch (cmd) {
-    case Command::kActivate:
-      return state_ == State::kIdle && cycle >= next_act_;
-    case Command::kPrecharge:
-      return state_ == State::kActive && cycle >= next_pre_;
-    case Command::kRead:
-    case Command::kWrite:
-      return state_ == State::kActive && cycle >= next_col_;
-    case Command::kRefresh:
-    case Command::kMaintStart:
-      // Refresh is issued channel-wide; per-bank requirement is "idle and
-      // past tRP", i.e. the same window as an ACT. A maintenance lock has
-      // the identical entry condition on its one bank.
-      return state_ == State::kIdle && cycle >= next_act_;
-    case Command::kMaintEnd:
-      return true;  // lock release, no timing of its own
-  }
-  return false;
-}
-
-std::uint64_t Bank::earliest(Command cmd) const {
-  switch (cmd) {
-    case Command::kActivate:
-    case Command::kRefresh:
-    case Command::kMaintStart:
-      return next_act_;
-    case Command::kPrecharge:
-      return next_pre_;
-    case Command::kRead:
-    case Command::kWrite:
-      return next_col_;
-    case Command::kMaintEnd:
-      break;
-  }
-  return 0;
-}
-
 void Bank::issue(Command cmd, unsigned row, std::uint64_t cycle) {
   switch (cmd) {
     case Command::kActivate:

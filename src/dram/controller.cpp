@@ -1,6 +1,7 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -13,6 +14,23 @@ namespace {
 std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
 }
+
+std::uint64_t bank_bit(unsigned b) { return std::uint64_t{1} << b; }
+
+// Key mirror entries pack (bank, row, direction) as
+// (bank << 33) | (row << 1) | write.
+std::uint64_t queue_key(unsigned bank, unsigned row, bool write) {
+  return (std::uint64_t{bank} << 33) | (std::uint64_t{row} << 1) |
+         (write ? 1u : 0u);
+}
+unsigned key_bank(std::uint64_t key) {
+  return static_cast<unsigned>(key >> 33);
+}
+/// True when the entry's next command is a column access to the open row.
+bool key_hits(std::uint64_t key, const Bank& bank) {
+  return bank.has_open_row() &&
+         bank.open_row() == static_cast<unsigned>((key >> 1) & 0xffffffffu);
+}
 }  // namespace
 
 Controller::Controller(const DramConfig& cfg)
@@ -23,9 +41,9 @@ Controller::Controller(const DramConfig& cfg)
   cfg_.validate();
   banks_.reserve(cfg_.banks);
   for (unsigned b = 0; b < cfg_.banks; ++b) banks_.emplace_back(cfg_.timing);
-  autopre_pending_.assign(cfg_.banks, false);
   last_col_cycle_.assign(cfg_.banks, 0);
   maint_until_.assign(cfg_.banks, 0);
+  open_row_key_.assign(cfg_.banks, 0);
 }
 
 void Controller::log_command(const CommandRecord& rec) {
@@ -88,13 +106,7 @@ bool Controller::enqueue(Request req) {
   if (cfg_.watchdog_enabled) {
     e.wd_deadline = cycle_ + cfg_.watchdog_cycles;
   }
-  queue_.push_back(e);
-  // Pre-decoded SoA mirror for the burst-issue streak probe.
-  streak_key_.push_back((static_cast<std::uint64_t>(e.coord.bank) << 33) |
-                        (static_cast<std::uint64_t>(e.coord.row) << 1) |
-                        (e.req.type == AccessType::kWrite ? 1u : 0u));
-  streak_client_.push_back(e.req.client_id);
-  if (e.req.type == AccessType::kWrite) ++queued_writes_;
+  push_queue_entry(e);
   EDSIM_TELEMETRY(telemetry_, on_request_enqueued(queue_.back().req,
                                                   queue_.back().coord, cycle_));
   return true;
@@ -142,6 +154,14 @@ std::uint64_t Controller::channel_column_release(AccessType type) const {
   return rel;
 }
 
+void Controller::push_queue_entry(const QueueEntry& e) {
+  const bool is_write = e.req.type == AccessType::kWrite;
+  queue_.push_back(e);
+  streak_key_.push_back(queue_key(e.coord.bank, e.coord.row, is_write));
+  streak_client_.push_back(e.req.client_id);
+  if (is_write) ++queued_writes_;
+}
+
 void Controller::erase_queue_entry(std::size_t pos) {
   if (queue_[pos].req.type == AccessType::kWrite) --queued_writes_;
   streak_key_.erase(streak_key_.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -150,61 +170,108 @@ void Controller::erase_queue_entry(std::size_t pos) {
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
-bool Controller::open_row_wanted(unsigned b) const {
-  for (const QueueEntry& e : queue_) {
-    if (e.coord.bank == b && e.coord.row == banks_[b].open_row()) return true;
+// --- scheduler round ---------------------------------------------------------
+
+std::size_t Controller::schedule_round(std::uint64_t& wanted_rows) {
+  if (queue_.empty()) {
+    scheduler_note_pick();  // a round over an empty queue picks nothing
+    return Scheduler::kNone;
   }
-  return false;
-}
-
-void Controller::set_autopre(unsigned b) {
-  if (!autopre_pending_[b]) {
-    autopre_pending_[b] = true;
-    ++autopre_count_;
+  // Per-bank legality of each command class, with the channel-level
+  // releases (tRRD/tFAW, data bus and turnaround) folded in once per
+  // round, indexed by (row hit << 1) | write: a miss needs ACT on a
+  // precharged bank or PRE on an open one, a hit needs RD or WR.
+  // The same loop records each bank's open row as `key >> 1` of an entry
+  // that hits it (a value no key takes for a precharged bank), so the
+  // queue pass tests a row hit with one compare.
+  std::uint64_t col = 0;
+  std::uint64_t act = 0;
+  std::uint64_t pre = 0;
+  for (unsigned b = 0; b < cfg_.banks; ++b) {
+    const Bank& bank = banks_[b];
+    open_row_key_[b] = bank.has_open_row()
+                           ? queue_key(b, bank.open_row(), false) >> 1
+                           : ~std::uint64_t{0};
+    if (bank.can_issue(Command::kRead, cycle_)) col |= bank_bit(b);
+    if (bank.can_issue(Command::kPrecharge, cycle_)) pre |= bank_bit(b);
+    if (bank.can_issue(Command::kActivate, cycle_)) act |= bank_bit(b);
   }
-}
+  const std::uint64_t ready = ~autopre_banks_;
+  const std::uint64_t miss =
+      ((cycle_ >= channel_act_release() ? act : 0) | pre) & ready;
+  const std::uint64_t legal[4] = {
+      miss, miss,
+      cycle_ >= channel_column_release(AccessType::kRead) ? col & ready : 0,
+      cycle_ >= channel_column_release(AccessType::kWrite) ? col & ready : 0};
 
-void Controller::clear_autopre(unsigned b) {
-  if (autopre_pending_[b]) {
-    autopre_pending_[b] = false;
-    --autopre_count_;
+  const bool escalated = front_escalated();
+  // No bank can take any command: nothing is issuable, so skip the queue
+  // pass. `pre` stays unmasked here because the page-timeout close needs
+  // `wanted_rows` whenever any bank could be precharged.
+  if ((legal[0] | legal[2] | legal[3] | pre) == 0) {
+    if (!escalated) scheduler_note_pick();
+    return Scheduler::kNone;
   }
-}
 
-// --- candidate construction -------------------------------------------------
-
-const std::vector<Candidate>& Controller::build_candidates() {
-  // The channel-level releases (tRRD/tFAW, data bus and turnaround) are
-  // the same for every entry, so each round derives them once and the
-  // per-entry work is the bank test alone.
-  const bool act_ok = cycle_ >= channel_act_release();
-  const bool rd_ok = cycle_ >= channel_column_release(AccessType::kRead);
-  const bool wr_ok = cycle_ >= channel_column_release(AccessType::kWrite);
-  candidates_.clear();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry& e = queue_[i];
-    const Bank& bank = banks_[e.coord.bank];
-    Candidate c;
-    c.queue_index = i;
-    c.bank = e.coord.bank;
-    c.client_id = e.req.client_id;
-    c.is_write = e.req.type == AccessType::kWrite;
-    bool channel_ok = true;  // kPrecharge: bank-local only
-    if (bank.has_open_row() && bank.open_row() == e.coord.row) {
-      c.cmd = c.is_write ? Command::kWrite : Command::kRead;
-      c.row_hit = true;
-      channel_ok = c.is_write ? wr_ok : rd_ok;
-    } else if (!bank.has_open_row()) {
-      c.cmd = Command::kActivate;
-      channel_ok = act_ok;
-    } else {
-      c.cmd = Command::kPrecharge;
+  // One pass over the key mirror; it never reads a QueueEntry.
+  const bool heads = cfg_.scheduler == SchedulerKind::kFcfsPerBank;
+  unsigned slots = 0;
+  unsigned own = 0;
+  if (cfg_.scheduler == SchedulerKind::kTdm) {
+    const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
+    slots = tdm.num_slots();
+    own = tdm.owner(cycle_);
+  }
+  const std::size_t n = queue_.size();
+  masks_.resize(n);
+  masks_.writes = queued_writes_;
+  std::uint64_t seen_banks = 0;
+  std::uint64_t wanted = 0;
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t end = std::min(n, base + 64);
+    std::uint64_t issuable = 0;
+    std::uint64_t row_hit = 0;
+    std::uint64_t write = 0;
+    std::uint64_t bank_head = 0;
+    std::uint64_t owner = 0;
+    for (std::size_t i = base; i < end; ++i) {
+      const std::uint64_t key = streak_key_[i];
+      const unsigned b = key_bank(key);
+      const std::uint64_t w = key & 1;
+      const std::uint64_t hit = (key >> 1) == open_row_key_[b] ? 1 : 0;
+      const std::size_t shift = i - base;
+      issuable |= ((legal[(hit << 1) | w] >> b) & 1) << shift;
+      row_hit |= hit << shift;
+      write |= w << shift;
+      wanted |= hit << b;
+      if (heads) {
+        bank_head |= ((~seen_banks >> b) & 1) << shift;
+        seen_banks |= bank_bit(b);
+      }
+      if (slots != 0 && streak_client_[i] % slots == own) {
+        owner |= std::uint64_t{1} << shift;
+      }
     }
-    c.issuable = channel_ok && !autopre_pending_[e.coord.bank] &&
-                 bank.can_issue(c.cmd, cycle_);
-    candidates_.push_back(c);
+    const std::size_t word = base / 64;
+    masks_.issuable[word] = issuable;
+    masks_.row_hit[word] = row_hit;
+    masks_.write[word] = write;
+    masks_.bank_head[word] = bank_head;
+    masks_.owner[word] = owner;
   }
-  return candidates_;
+  wanted_rows = wanted;
+
+  if (escalated) {
+    // An escalated request owns the command slot until it completes. Under
+    // TDM the escalation still routes through the scheduler — slot
+    // ownership is inviolate (that isolation is the policy's entire
+    // guarantee), and the rotation itself bounds how long the front entry
+    // can wait.
+    return (masks_.issuable[0] & 1) != 0 ? 0 : Scheduler::kNone;
+  }
+  const std::uint64_t oldest_wait =
+      n == 0 ? 0 : cycle_ - queue_.front().req.arrival_cycle;
+  return dispatch_pick(oldest_wait);
 }
 
 void Controller::issue_column(QueueEntry& e, std::uint64_t cycle) {
@@ -252,24 +319,21 @@ void Controller::issue_column(QueueEntry& e, std::uint64_t cycle) {
 
   last_col_cycle_[e.coord.bank] = cycle;
   if (cfg_.page_policy == PagePolicy::kClosed) {
-    set_autopre(e.coord.bank);
+    autopre_banks_ |= bank_bit(e.coord.bank);
   }
 }
 
-bool Controller::tick_autoprecharge() {
+void Controller::tick_autoprecharge() {
   // Auto-precharge does not occupy the command bus (it is encoded in the
   // column command on real parts); apply it as soon as it becomes legal.
-  if (autopre_count_ == 0) return false;
-  bool any = false;
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (autopre_pending_[b] && banks_[b].can_issue(Command::kPrecharge, cycle_)) {
+  for (std::uint64_t m = autopre_banks_; m != 0; m &= m - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(m));
+    if (banks_[b].can_issue(Command::kPrecharge, cycle_)) {
       banks_[b].issue(Command::kPrecharge, 0, cycle_);
       ++stats_.precharges;
-      clear_autopre(b);
-      any = true;
+      autopre_banks_ &= ~bank_bit(b);
     }
   }
-  return any;
 }
 
 bool Controller::tick_refresh() {
@@ -283,7 +347,7 @@ bool Controller::tick_refresh() {
     if (banks_[b].has_open_row()) {
       if (banks_[b].can_issue(Command::kPrecharge, cycle_)) {
         banks_[b].issue(Command::kPrecharge, 0, cycle_);
-        clear_autopre(b);
+        autopre_banks_ &= ~bank_bit(b);
         ++stats_.precharges;
         log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                   CommandRecord::kNoClient, false});
@@ -303,13 +367,6 @@ bool Controller::tick_refresh() {
                             CommandRecord::kNoClient, false});
   refresh_draining_ = false;
   return true;
-}
-
-bool Controller::bank_has_queued(unsigned b) const {
-  for (const QueueEntry& e : queue_) {
-    if (e.coord.bank == b) return true;
-  }
-  return false;
 }
 
 bool Controller::maintenance_any_urgent() const {
@@ -339,6 +396,12 @@ bool Controller::tick_maintenance() {
   // is pending; past the deadline an op may preempt (close an open row
   // and take the bank). Claims are not bus commands, so several banks can
   // start maintenance in one cycle; only a preempting PRE costs the slot.
+  // Maintenance runs before the scheduler round, so it takes the banks
+  // with queued work from its own pass over the key mirror.
+  std::uint64_t queued_banks = 0;
+  for (const std::uint64_t key : streak_key_) {
+    queued_banks |= bank_bit(key_bank(key));
+  }
   bool slot_used = false;
   for (unsigned b = 0; b < cfg_.banks; ++b) {
     if (maint_until_[b] != 0) continue;  // already under maintenance
@@ -352,7 +415,7 @@ bool Controller::tick_maintenance() {
       if (urg && !slot_used &&
           bank.can_issue(Command::kPrecharge, cycle_)) {
         bank.issue(Command::kPrecharge, 0, cycle_);
-        clear_autopre(b);
+        autopre_banks_ &= ~bank_bit(b);
         ++stats_.precharges;
         log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                   CommandRecord::kNoClient, false});
@@ -360,7 +423,9 @@ bool Controller::tick_maintenance() {
       }
       continue;
     }
-    if (!urg && bank_has_queued(b)) continue;  // traffic keeps priority
+    if (!urg && (queued_banks & bank_bit(b)) != 0) {
+      continue;  // traffic keeps priority
+    }
     if (!bank.can_issue(Command::kMaintStart, cycle_)) continue;  // tRP/tRFC
     const unsigned dur = hooks_->maintenance_claim(b, cycle_);
     if (dur == 0) continue;
@@ -449,28 +514,33 @@ void Controller::retire_due_inflight() {
   }
 }
 
-std::size_t Controller::dispatch_pick(const std::vector<Candidate>& candidates,
-                                      std::uint64_t oldest_wait) const {
+std::size_t Controller::dispatch_pick(std::uint64_t oldest_wait) const {
   // Every policy class is final: the static type makes each call below a
   // direct (inlinable) call instead of a per-round virtual dispatch.
   switch (cfg_.scheduler) {
     case SchedulerKind::kFcfs:
       return static_cast<const FcfsScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick(masks_, oldest_wait);
     case SchedulerKind::kFcfsPerBank:
       return static_cast<const FcfsPerBankScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick(masks_, oldest_wait);
     case SchedulerKind::kFrFcfs:
       return static_cast<const FrFcfsScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick(masks_, oldest_wait);
     case SchedulerKind::kReadFirst:
       return static_cast<const ReadFirstScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick(masks_, oldest_wait);
     case SchedulerKind::kTdm:
       return static_cast<const TdmScheduler&>(*scheduler_)
-          .pick(candidates, cycle_, oldest_wait);
+          .pick(masks_, oldest_wait);
   }
-  return scheduler_->pick(candidates, cycle_, oldest_wait);
+  return scheduler_->pick(masks_, oldest_wait);
+}
+
+bool Controller::front_escalated() const {
+  return cfg_.watchdog_enabled && !queue_.empty() &&
+         queue_.front().wd_retries > 0 &&
+         cfg_.scheduler != SchedulerKind::kTdm;
 }
 
 void Controller::scheduler_note_pick() const {
@@ -522,7 +592,7 @@ void Controller::tick() {
             all_idle = false;
             if (banks_[b].can_issue(Command::kPrecharge, cycle_)) {
               banks_[b].issue(Command::kPrecharge, 0, cycle_);
-              clear_autopre(b);
+              autopre_banks_ &= ~bank_bit(b);
               ++stats_.precharges;
               log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
                                         CommandRecord::kNoClient, false});
@@ -565,32 +635,17 @@ void Controller::tick() {
   // REF sweep is replaced by maintenance arbitration over idle bank slots.
   if (!(self_managed_ ? tick_maintenance() : tick_refresh())) {
     // 4. Normal scheduling: one command this cycle.
-    const auto& candidates = build_candidates();
-    const std::uint64_t oldest_wait =
-        queue_.empty() ? 0 : cycle_ - queue_.front().req.arrival_cycle;
-    std::size_t pick;
-    if (cfg_.watchdog_enabled && !queue_.empty() &&
-        queue_.front().wd_retries > 0 &&
-        cfg_.scheduler != SchedulerKind::kTdm) {
-      // An escalated request owns the command slot until it completes:
-      // candidates are age-ordered, so its candidate is index 0. Under TDM
-      // the escalation still routes through the scheduler — slot ownership
-      // is inviolate (that isolation is the policy's entire guarantee), and
-      // the rotation itself bounds how long the front entry can wait.
-      pick = candidates.front().issuable ? 0 : Scheduler::kNone;
-    } else {
-      pick = dispatch_pick(candidates, oldest_wait);
-    }
+    std::uint64_t wanted_rows = 0;
+    const std::size_t pick = schedule_round(wanted_rows);
     if (pick == Scheduler::kNone &&
         cfg_.page_policy == PagePolicy::kTimeout) {
       // Idle command slot: close any row that has been open and unused
-      // past the timeout. Never preempts real work (pick was kNone).
+      // past the timeout. Never preempts real work (pick was kNone), and
+      // only closes rows no queued request still wants.
       for (unsigned b = 0; b < cfg_.banks; ++b) {
-        if (banks_[b].has_open_row() &&
+        if (banks_[b].has_open_row() && (wanted_rows & bank_bit(b)) == 0 &&
             cycle_ >= last_col_cycle_[b] + cfg_.page_timeout_cycles &&
             banks_[b].can_issue(Command::kPrecharge, cycle_)) {
-          // Only close rows no queued request still wants.
-          if (open_row_wanted(b)) continue;
           banks_[b].issue(Command::kPrecharge, 0, cycle_);
           ++stats_.precharges;
           log_command(CommandRecord{cycle_, Command::kPrecharge, b, 0,
@@ -600,41 +655,30 @@ void Controller::tick() {
       }
     }
     if (pick != Scheduler::kNone) {
-      const Candidate c = candidates[pick];
-      QueueEntry& e = queue_[c.queue_index];
+      // The round picked an entry; derive its command from bank state.
+      QueueEntry& e = queue_[pick];
       Bank& bank = banks_[e.coord.bank];
       classify(e, bank);
-      switch (c.cmd) {
-        case Command::kActivate:
-          bank.issue(Command::kActivate, e.coord.row, cycle_);
-          ++stats_.activations;
-          last_act_cycle_ = cycle_;
-          any_act_yet_ = true;
-          recent_acts_.push_back(cycle_);
-          if (recent_acts_.size() > 8) recent_acts_.pop_front();
-          log_command(CommandRecord{cycle_, Command::kActivate, e.coord.bank,
-                                    e.coord.row, e.req.client_id, false});
-          if (hooks_ != nullptr) {
-            hooks_->on_activate(e.coord.bank, e.coord.row, cycle_);
-          }
-          break;
-        case Command::kPrecharge:
-          bank.issue(Command::kPrecharge, 0, cycle_);
-          ++stats_.precharges;
-          log_command(
-              CommandRecord{cycle_, Command::kPrecharge, e.coord.bank, 0,
-                            e.req.client_id, false});
-          break;
-        case Command::kRead:
-        case Command::kWrite: {
-          issue_column(e, cycle_);
-          erase_queue_entry(c.queue_index);
-          break;
+      if (!bank.has_open_row()) {
+        bank.issue(Command::kActivate, e.coord.row, cycle_);
+        ++stats_.activations;
+        last_act_cycle_ = cycle_;
+        any_act_yet_ = true;
+        recent_acts_.push_back(cycle_);
+        if (recent_acts_.size() > 8) recent_acts_.pop_front();
+        log_command(CommandRecord{cycle_, Command::kActivate, e.coord.bank,
+                                  e.coord.row, e.req.client_id, false});
+        if (hooks_ != nullptr) {
+          hooks_->on_activate(e.coord.bank, e.coord.row, cycle_);
         }
-        case Command::kRefresh:
-        case Command::kMaintStart:
-        case Command::kMaintEnd:
-          break;  // unreachable: never scheduler candidates
+      } else if (bank.open_row() != e.coord.row) {
+        bank.issue(Command::kPrecharge, 0, cycle_);
+        ++stats_.precharges;
+        log_command(CommandRecord{cycle_, Command::kPrecharge, e.coord.bank,
+                                  0, e.req.client_id, false});
+      } else {
+        issue_column(e, cycle_);
+        erase_queue_entry(pick);
       }
     }
   }
@@ -685,7 +729,7 @@ std::uint64_t Controller::next_event_cycle() const {
     }
   }
 
-  // One pass over the queue: the minimum bank-local release of each
+  // One pass over the key mirror: the minimum bank-local release of each
   // command class, plus per-bank masks of banks with queued work and of
   // open rows a queued request still wants. Bank and bus state are frozen
   // during a skip (no commands issue), so these releases stay valid until
@@ -697,20 +741,16 @@ std::uint64_t Controller::next_event_cycle() const {
   std::uint64_t wr_rel = kNeverCycle;
   std::uint64_t queued_banks = 0;
   std::uint64_t wanted_rows = 0;
-  for (const QueueEntry& e : queue_) {
-    const unsigned b = e.coord.bank;
-    const std::uint64_t bit = std::uint64_t{1} << b;
+  for (const std::uint64_t key : streak_key_) {
+    const unsigned b = key_bank(key);
     const Bank& bank = banks_[b];
-    queued_banks |= bit;
-    const bool row_hit = bank.has_open_row() && bank.open_row() == e.coord.row;
-    if (row_hit) wanted_rows |= bit;
-    if (autopre_pending_[b]) continue;  // gated by the autopre term below
+    queued_banks |= bank_bit(b);
+    const bool row_hit = key_hits(key, bank);
+    if (row_hit) wanted_rows |= bank_bit(b);
+    if ((autopre_banks_ & bank_bit(b)) != 0) continue;  // autopre term below
     if (row_hit) {
-      if (e.req.type == AccessType::kRead) {
-        rd_rel = std::min(rd_rel, bank.earliest(Command::kRead));
-      } else {
-        wr_rel = std::min(wr_rel, bank.earliest(Command::kWrite));
-      }
+      std::uint64_t& rel = (key & 1) != 0 ? wr_rel : rd_rel;
+      rel = std::min(rel, bank.earliest(Command::kRead));
     } else if (!bank.has_open_row()) {
       act_rel = std::min(act_rel, bank.earliest(Command::kActivate));
     } else {
@@ -732,11 +772,10 @@ std::uint64_t Controller::next_event_cycle() const {
   upd(refresh_.next_urgent_cycle(cycle_));
   if (self_managed_) upd(maintenance_event_bound(queued_banks));
 
-  // Pending hardware auto-precharges (skipped outright when none pending).
-  if (autopre_count_ != 0) {
-    for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (autopre_pending_[b]) upd(banks_[b].earliest(Command::kPrecharge));
-    }
+  // Pending hardware auto-precharges.
+  for (std::uint64_t m = autopre_banks_; m != 0; m &= m - 1) {
+    const auto b = static_cast<unsigned>(std::countr_zero(m));
+    upd(banks_[b].earliest(Command::kPrecharge));
   }
 
   // Watchdog deadline of the oldest queued request.
@@ -749,7 +788,7 @@ std::uint64_t Controller::next_event_cycle() const {
   // during a skip, so they contribute no event.
   if (cfg_.page_policy == PagePolicy::kTimeout) {
     for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (!banks_[b].has_open_row() || ((wanted_rows >> b) & 1u) != 0) {
+      if (!banks_[b].has_open_row() || (wanted_rows & bank_bit(b)) != 0) {
         continue;
       }
       upd(std::max(last_col_cycle_[b] + cfg_.page_timeout_cycles,
@@ -791,6 +830,12 @@ void Controller::advance_idle(std::uint64_t count) {
     }
   }
 
+  // Every skipped full tick runs a scheduler round that selects nothing;
+  // its hysteresis update is idempotent for the fixed queue, so one note
+  // stands for all of them. Skipping it would let a later escalated tick
+  // (which notes nothing) hide a watermark crossing from ReadFirst.
+  if (full_path && !front_escalated()) scheduler_note_pick();
+
   const std::uint64_t from = cycle_;
   cycle_ += count;
   stats_.cycles += count;
@@ -807,7 +852,7 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
   // can mutate the stream, so their presence disables the path outright.
   if (!burst_issue_ || hooks_ != nullptr || queue_.empty()) return 0;
   if (cfg_.page_policy == PagePolicy::kClosed) return 0;
-  if (autopre_count_ != 0 || refresh_draining_) return 0;
+  if (autopre_banks_ != 0 || refresh_draining_) return 0;
   if (cfg_.powerdown_enabled && (powered_down_ || cycle_ < wake_until_)) {
     return 0;
   }
@@ -818,11 +863,10 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
   std::uint64_t mism = 0;
   for (std::size_t i = 1; i < n; ++i) mism |= streak_key_[i] ^ key;
   if (mism != 0) return 0;
-  const unsigned bank = static_cast<unsigned>(key >> 33);
-  const unsigned row = static_cast<unsigned>((key >> 1) & 0xffffffffu);
+  const unsigned bank = key_bank(key);
   const bool is_write = (key & 1) != 0;
   Bank& bk = banks_[bank];
-  if (!bk.has_open_row() || bk.open_row() != row) return 0;
+  if (!key_hits(key, bk)) return 0;
   if (cfg_.page_policy == PagePolicy::kTimeout) {
     // Another bank's idle open row would be closed by the page-timeout
     // sweep mid-stretch; the streak bank's own row is always wanted.
@@ -878,9 +922,7 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
     const std::uint64_t ev = std::min(ni, inflight_min_done_);
     if (ev >= lim) break;
     // Every cycle in (cycle_, ev) is pure bookkeeping — exactly
-    // advance_idle's contract. Scheduler rounds skipped here are
-    // hysteresis-idempotent for a fixed queue composition; the note at
-    // the issue (or the next real tick) lands the identical state.
+    // advance_idle's contract, which also notes the skipped rounds.
     if (ev > cycle_) advance_idle(ev - cycle_);
     // Lite tick at `ev`, in tick()'s exact order. The general-path gates
     // (maintenance, auto-precharge, watchdog, refresh, page-timeout
@@ -891,8 +933,8 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
     if (!inflight_.empty() && inflight_min_done_ <= cycle_) {
       retire_due_inflight();
     }
+    scheduler_note_pick();  // the lite tick's round, issuing or not
     if (ni == cycle_) {
-      scheduler_note_pick();
       QueueEntry& e = queue_.front();
       classify(e, bk);
       issue_column(e, cycle_);
@@ -1034,7 +1076,9 @@ void Controller::save(SnapshotWriter& w) const {
   w.u32(cfg_.banks);
 
   for (const Bank& b : banks_) b.save(w);
-  for (unsigned b = 0; b < cfg_.banks; ++b) w.boolean(autopre_pending_[b]);
+  for (unsigned b = 0; b < cfg_.banks; ++b) {
+    w.boolean((autopre_banks_ & bank_bit(b)) != 0);
+  }
   for (const std::uint64_t c : last_col_cycle_) w.u64(c);
   scheduler_->save(w);
   refresh_.save(w);
@@ -1085,14 +1129,18 @@ void Controller::load(SnapshotReader& r) {
   }
 
   for (Bank& b : banks_) b.load(r);
+  autopre_banks_ = 0;
   for (unsigned b = 0; b < cfg_.banks; ++b) {
-    autopre_pending_[b] = r.boolean();
+    if (r.boolean()) autopre_banks_ |= bank_bit(b);
   }
   for (std::uint64_t& c : last_col_cycle_) c = r.u64();
   scheduler_->load(r);
   refresh_.load(r);
 
   queue_.clear();
+  streak_key_.clear();
+  streak_client_.clear();
+  queued_writes_ = 0;
   const std::size_t queued = r.count();
   if (queued > cfg_.queue_depth) r.fail("queued request count out of range");
   queue_.reserve(queued);
@@ -1106,7 +1154,7 @@ void Controller::load(SnapshotReader& r) {
     e.classified = r.boolean();
     e.wd_retries = r.u32();
     e.wd_deadline = r.u64();
-    queue_.push_back(e);
+    push_queue_entry(e);
   }
   inflight_.clear();
   const std::size_t inflight = r.count();
@@ -1147,21 +1195,7 @@ void Controller::load(SnapshotReader& r) {
 
   load_controller_stats(r, stats_);
 
-  // Derived caches: recompute rather than trust the stream.
-  streak_key_.clear();
-  streak_client_.clear();
-  queued_writes_ = 0;
-  for (const QueueEntry& e : queue_) {
-    streak_key_.push_back((static_cast<std::uint64_t>(e.coord.bank) << 33) |
-                          (static_cast<std::uint64_t>(e.coord.row) << 1) |
-                          (e.req.type == AccessType::kWrite ? 1u : 0u));
-    streak_client_.push_back(e.req.client_id);
-    if (e.req.type == AccessType::kWrite) ++queued_writes_;
-  }
-  autopre_count_ = 0;
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (autopre_pending_[b]) ++autopre_count_;
-  }
+  // Derived cache: recompute rather than trust the stream.
   inflight_min_done_ = kNeverCycle;
   for (const InFlight& f : inflight_) {
     inflight_min_done_ = std::min(inflight_min_done_, f.req.done_cycle);

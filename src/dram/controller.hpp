@@ -189,8 +189,8 @@ class Controller {
   /// DramConfig, re-attaches its observers (attach_reliability BEFORE
   /// load, so the attach-derived flags are in place and load then restores
   /// the counters attach reset), and calls load(). Derived state (the
-  /// burst-issue mirror, auto-precharge count, in-flight minimum) is
-  /// recomputed on load, not stored.
+  /// queue key mirror, write count, in-flight minimum) is recomputed on
+  /// load, not stored.
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
 
@@ -230,25 +230,28 @@ class Controller {
   /// idle-slot claims, schedule changes). `queued_banks` has bit b set when
   /// a queued request targets bank b.
   std::uint64_t maintenance_event_bound(std::uint64_t queued_banks) const;
-  bool bank_has_queued(unsigned b) const;
   /// Any unlocked bank with past-deadline maintenance (power-down gate).
   bool maintenance_any_urgent() const;
-  bool tick_autoprecharge();
+  void tick_autoprecharge();
   void tick_watchdog();
   /// Retire every in-flight request whose last data beat is done (step 1
   /// of tick(); shared with the burst-issue lite tick).
   void retire_due_inflight();
-  /// One scheduler round's candidate list: the next command of every
-  /// queued request and whether bank and channel timing allow it now.
-  const std::vector<Candidate>& build_candidates();
+  /// One scheduler round: fills masks_ in one pass over the key mirror
+  /// and returns the picked queue index, or Scheduler::kNone. Sets bit b
+  /// of `wanted_rows` when a queued request still wants bank b's open row
+  /// (exact whenever some bank could take a PRE this cycle).
+  std::size_t schedule_round(std::uint64_t& wanted_rows);
   /// Devirtualized scheduler dispatch: every policy class is final, so a
   /// switch on the configured kind lets the compiler inline the pick into
   /// the issue path (no vtable load per round).
-  std::size_t dispatch_pick(const std::vector<Candidate>& candidates,
-                            std::uint64_t oldest_wait) const;
+  std::size_t dispatch_pick(std::uint64_t oldest_wait) const;
   /// Scheduler-state side effect of one pick round (ReadFirst hysteresis);
-  /// the burst path applies it without building a candidate list.
+  /// rounds that select nothing without a pick apply it through here.
   void scheduler_note_pick() const;
+  /// The watchdog escalated the front request: the round serves it alone
+  /// and consults no policy (TDM excepted).
+  bool front_escalated() const;
   /// Dense-traffic fast path: when the queue is a homogeneous single-bank
   /// row-hit streak in a deterministic steady state, advance through issue
   /// and retire events in closed form up to (exclusive) the first cycle
@@ -261,17 +264,15 @@ class Controller {
   std::uint64_t issue_burst(std::uint64_t target_cycle,
                             bool stop_after_event = false);
 
-  /// Remove queue_[pos] and its burst-issue mirror entries.
+  /// Append `e` to queue_ and its key mirror entries.
+  void push_queue_entry(const QueueEntry& e);
+  /// Remove queue_[pos] and its key mirror entries.
   void erase_queue_entry(std::size_t pos);
-  /// True when a queued request still wants bank `b`'s open row.
-  bool open_row_wanted(unsigned b) const;
-  void set_autopre(unsigned b);
-  void clear_autopre(unsigned b);
 
   DramConfig cfg_;
   AddressMapper mapper_;
   std::vector<Bank> banks_;
-  std::vector<bool> autopre_pending_;
+  std::uint64_t autopre_banks_ = 0;  ///< bit b: auto-precharge pending
   std::vector<std::uint64_t> last_col_cycle_;  // kTimeout bookkeeping
   std::unique_ptr<Scheduler> scheduler_;
   RefreshEngine refresh_;
@@ -279,18 +280,18 @@ class Controller {
   std::vector<QueueEntry> queue_;  // age-ordered
   std::vector<InFlight> inflight_;
   std::vector<Request> completed_;
-  std::vector<Candidate> candidates_;  // scratch, refreshed each round
+  RoundMasks masks_;  // scratch, refilled each scheduler round
+  std::vector<std::uint64_t> open_row_key_;  // scratch, per bank, ditto
 
-  // Derived counters that keep the common quiet-cycle checks O(1).
+  // Derived minimum that keeps the common quiet-cycle check O(1).
   std::uint64_t inflight_min_done_ = kNeverCycle;
-  unsigned autopre_count_ = 0;
 
-  // Burst-issue fast path (see docs/performance.md, "Dense traffic").
-  // SoA mirror of the queue for the branch-light streak probe: one packed
-  // (bank, row, direction) key and one client id per entry, maintained on
-  // enqueue / erase / load alongside queue_. The counters make the
-  // remaining eligibility gates O(1).
-  bool burst_issue_ = true;
+  bool burst_issue_ = true;  // see docs/performance.md, "Dense traffic"
+
+  // SoA mirror of the queue: one packed (bank, row, direction) key and one
+  // client id per entry, maintained on enqueue / erase / load alongside
+  // queue_. The scheduler round, the next-event bound and the burst-issue
+  // streak probe read these instead of the queue entries.
   std::vector<std::uint64_t> streak_key_;   // (bank << 33) | (row << 1) | w
   std::vector<std::uint32_t> streak_client_;
   unsigned queued_writes_ = 0;  ///< write entries in queue_ (counter, so

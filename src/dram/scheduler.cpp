@@ -1,5 +1,7 @@
 #include "dram/scheduler.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 #include "common/snapshot.hpp"
 
@@ -29,52 +31,57 @@ std::unique_ptr<Scheduler> Scheduler::make(const DramConfig& cfg) {
   return make(cfg.scheduler);
 }
 
-std::size_t FcfsScheduler::pick(const std::vector<Candidate>& candidates,
-                                std::uint64_t /*cycle*/,
+namespace {
+
+/// Queue index of the oldest entry set in `word(0) .. word(words - 1)`.
+template <typename Word>
+std::size_t first_set(std::size_t words, Word word) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if (const std::uint64_t x = word(w)) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(x));
+    }
+  }
+  return Scheduler::kNone;
+}
+
+std::size_t first_issuable(const RoundMasks& m) {
+  return first_set(m.words(), [&](std::size_t w) { return m.issuable[w]; });
+}
+
+/// Issuable row hits first, then any issuable entry, both oldest first,
+/// among the entries `among(w)` marks.
+template <typename Among>
+std::size_t first_ready(const RoundMasks& m, Among among) {
+  const std::size_t hit = first_set(m.words(), [&](std::size_t w) {
+    return m.issuable[w] & m.row_hit[w] & among(w);
+  });
+  if (hit != Scheduler::kNone) return hit;
+  return first_set(m.words(),
+                   [&](std::size_t w) { return m.issuable[w] & among(w); });
+}
+
+}  // namespace
+
+std::size_t FcfsScheduler::pick(const RoundMasks& m,
                                 std::uint64_t /*oldest_wait*/) const {
   // Only the head of the queue may issue; everything else waits behind it.
-  if (!candidates.empty() && candidates.front().queue_index == 0 &&
-      candidates.front().issuable) {
-    return 0;
-  }
-  return kNone;
+  return m.size != 0 && (m.issuable[0] & 1u) != 0 ? 0 : kNone;
 }
 
-std::size_t FcfsPerBankScheduler::pick(
-    const std::vector<Candidate>& candidates,
-    std::uint64_t /*cycle*/,
-    std::uint64_t /*oldest_wait*/) const {
-  // The oldest candidate per bank may issue; pick the oldest issuable one.
-  std::uint64_t seen_banks = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto& c = candidates[i];
-    const std::uint64_t bit = 1ull << (c.bank & 63u);
-    const bool head_of_bank = (seen_banks & bit) == 0;
-    seen_banks |= bit;
-    if (head_of_bank && c.issuable) return i;
-  }
-  return kNone;
+std::size_t FcfsPerBankScheduler::pick(const RoundMasks& m,
+                                       std::uint64_t /*oldest_wait*/) const {
+  // The oldest entry per bank may issue; pick the oldest issuable one.
+  return first_set(m.words(), [&](std::size_t w) {
+    return m.issuable[w] & m.bank_head[w];
+  });
 }
 
-std::size_t FrFcfsScheduler::pick(const std::vector<Candidate>& candidates,
-                                  std::uint64_t /*cycle*/,
+std::size_t FrFcfsScheduler::pick(const RoundMasks& m,
                                   std::uint64_t oldest_wait) const {
-  if (oldest_wait > starvation_cap_) {
-    // Starvation guard: serve strictly oldest-first until the queue drains
-    // below the cap. Candidates are age-ordered, so take the first
-    // issuable one belonging to the oldest request's bank chain — in
-    // practice the first issuable candidate.
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (candidates[i].issuable) return i;
-    return kNone;
-  }
-  // First ready: issuable row-hit column command, oldest first.
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    if (candidates[i].issuable && candidates[i].row_hit) return i;
-  // Then: any issuable command, oldest first.
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    if (candidates[i].issuable) return i;
-  return kNone;
+  // Starvation guard: serve strictly oldest-first until the queue drains
+  // below the cap.
+  if (oldest_wait > starvation_cap_) return first_issuable(m);
+  return first_ready(m, [](std::size_t) { return ~std::uint64_t{0}; });
 }
 
 ReadFirstScheduler::ReadFirstScheduler(unsigned high_watermark,
@@ -87,35 +94,19 @@ ReadFirstScheduler::ReadFirstScheduler(unsigned high_watermark,
           "read-first scheduler: watermarks must satisfy low < high");
 }
 
-std::size_t ReadFirstScheduler::pick(const std::vector<Candidate>& candidates,
-                                     std::uint64_t /*cycle*/,
+std::size_t ReadFirstScheduler::pick(const RoundMasks& m,
                                      std::uint64_t oldest_wait) const {
-  unsigned writes = 0;
-  for (const Candidate& c : candidates)
-    if (c.is_write) ++writes;
-  note_writes(writes);
+  note_writes(m.writes);
+  if (oldest_wait > starvation_cap_) return first_issuable(m);
 
-  if (oldest_wait > starvation_cap_) {
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      if (candidates[i].issuable) return i;
-    return kNone;
-  }
-
-  const bool favour_writes = draining_;
   // Four priority classes: (favoured, row hit) > (favoured) >
-  // (other, row hit) > (other). Oldest-first within a class.
-  for (const int pass : {0, 1, 2, 3}) {
-    const bool want_write = (pass < 2) == favour_writes;
-    const bool want_hit = pass % 2 == 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      if (!c.issuable) continue;
-      if (c.is_write != want_write) continue;
-      if (want_hit && !c.row_hit) continue;
-      return i;
-    }
-  }
-  return kNone;
+  // (other, row hit) > (other). Oldest-first within a class. Bits past
+  // `size` are clear in `issuable`, so inverting `write` is safe.
+  const std::uint64_t flip = draining_ ? 0 : ~std::uint64_t{0};
+  const std::size_t favoured =
+      first_ready(m, [&](std::size_t w) { return m.write[w] ^ flip; });
+  if (favoured != kNone) return favoured;
+  return first_ready(m, [&](std::size_t w) { return ~(m.write[w] ^ flip); });
 }
 
 void ReadFirstScheduler::save(SnapshotWriter& w) const {
@@ -130,22 +121,12 @@ TdmScheduler::TdmScheduler(unsigned slot_cycles, unsigned num_slots)
   require(num_slots_ >= 1, "tdm scheduler: num_slots must be >= 1");
 }
 
-std::size_t TdmScheduler::pick(const std::vector<Candidate>& candidates,
-                               std::uint64_t cycle,
+std::size_t TdmScheduler::pick(const RoundMasks& m,
                                std::uint64_t /*oldest_wait*/) const {
   // Hard slot isolation: only the slot owner's requests may issue, no
   // matter how long anyone else has waited — the rotation itself is the
   // starvation guard. Within the slot, FR-FCFS order.
-  const unsigned own = owner(cycle);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& c = candidates[i];
-    if (c.issuable && c.row_hit && c.client_id % num_slots_ == own) return i;
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& c = candidates[i];
-    if (c.issuable && c.client_id % num_slots_ == own) return i;
-  }
-  return kNone;
+  return first_ready(m, [&](std::size_t w) { return m.owner[w]; });
 }
 
 }  // namespace edsim::dram

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "dram/config.hpp"
-#include "dram/request.hpp"
 
 namespace edsim {
 class SnapshotReader;
@@ -14,20 +14,36 @@ class SnapshotWriter;
 
 namespace edsim::dram {
 
-/// One schedulable action the controller could take this cycle, derived
-/// from a queued request. Candidates are listed in arrival (age) order.
-struct Candidate {
-  std::size_t queue_index = 0;
-  unsigned bank = 0;
-  unsigned client_id = 0;            ///< issuing client (TDM slot ownership)
-  Command cmd = Command::kActivate;  ///< next command this request needs
-  bool row_hit = false;              ///< cmd is a column command to an open row
-  bool issuable = false;             ///< all timing constraints met this cycle
-  bool is_write = false;             ///< underlying request is a write
+/// One scheduler round as bitmasks over queue positions: bit i of word
+/// i / 64 describes queue entry i. The queue is age-ordered, so the lowest
+/// set bit of a mask is its oldest entry and every policy picks by
+/// count-trailing-zeros. Bits at and past `size` are clear in every mask.
+struct RoundMasks {
+  std::size_t size = 0;                  ///< queued entries this round
+  std::vector<std::uint64_t> issuable;   ///< next command legal this cycle
+  std::vector<std::uint64_t> row_hit;    ///< next command is a column
+                                         ///< access to the open row
+  std::vector<std::uint64_t> write;      ///< request is a write
+  std::vector<std::uint64_t> bank_head;  ///< oldest entry of its bank
+                                         ///< (built for kFcfsPerBank)
+  std::vector<std::uint64_t> owner;      ///< client in the TDM slot owner's
+                                         ///< class (built for kTdm)
+  unsigned writes = 0;  ///< write entries queued (ReadFirst watermarks)
+
+  std::size_t words() const { return (size + 63) / 64; }
+  /// Set `size` to `entries`, growing every mask to cover them. Words
+  /// added here start clear; the builder overwrites the others.
+  void resize(std::size_t entries) {
+    size = entries;
+    if (issuable.size() >= words()) return;
+    for (auto* mask : {&issuable, &row_hit, &write, &bank_head, &owner}) {
+      mask->resize(words(), 0);
+    }
+  }
 };
 
-/// Scheduling policy: picks which candidate to issue. Pure function of the
-/// candidate list (plus the current cycle, for time-sliced policies) so
+/// Scheduling policy: picks which queued request to serve. Pure function
+/// of the round's masks (ReadFirst adds its write-drain hysteresis), so
 /// policies are trivially testable.
 class Scheduler {
  public:
@@ -35,17 +51,14 @@ class Scheduler {
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  /// Returns an index into `candidates` (not the queue), or kNone.
-  /// `cycle` is the current controller cycle (TDM slot selection);
-  /// `oldest_wait` is the age in cycles of the oldest queued request, used
-  /// for starvation control.
-  virtual std::size_t pick(const std::vector<Candidate>& candidates,
-                           std::uint64_t cycle,
+  /// Returns a queue index, or kNone. `oldest_wait` is the age in cycles
+  /// of the oldest queued request, used for starvation control.
+  virtual std::size_t pick(const RoundMasks& m,
                            std::uint64_t oldest_wait) const = 0;
 
   /// Persist / restore policy-internal state. Most policies are pure
-  /// functions of the candidate list (nothing to save); ReadFirst carries
-  /// its write-drain hysteresis flag across cycles and overrides these.
+  /// functions of the round (nothing to save); ReadFirst carries its
+  /// write-drain hysteresis flag across cycles and overrides these.
   virtual void save(SnapshotWriter& /*w*/) const {}
   virtual void load(SnapshotReader& /*r*/) {}
 
@@ -59,16 +72,14 @@ class Scheduler {
 /// under interleaved clients (paper §4).
 class FcfsScheduler final : public Scheduler {
  public:
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
+  std::size_t pick(const RoundMasks& m,
                    std::uint64_t oldest_wait) const override;
 };
 
 /// In-order within each bank, banks progress independently.
 class FcfsPerBankScheduler final : public Scheduler {
  public:
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
+  std::size_t pick(const RoundMasks& m,
                    std::uint64_t oldest_wait) const override;
 };
 
@@ -80,8 +91,7 @@ class FrFcfsScheduler final : public Scheduler {
   explicit FrFcfsScheduler(std::uint64_t starvation_cap = 256)
       : starvation_cap_(starvation_cap) {}
 
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
+  std::size_t pick(const RoundMasks& m,
                    std::uint64_t oldest_wait) const override;
 
   std::uint64_t starvation_cap() const { return starvation_cap_; }
@@ -100,15 +110,14 @@ class ReadFirstScheduler final : public Scheduler {
   ReadFirstScheduler(unsigned high_watermark = 20, unsigned low_watermark = 6,
                      std::uint64_t starvation_cap = 512);
 
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
+  std::size_t pick(const RoundMasks& m,
                    std::uint64_t oldest_wait) const override;
 
   bool draining() const { return draining_; }
   std::uint64_t starvation_cap() const { return starvation_cap_; }
 
-  /// Apply exactly the hysteresis update pick() performs for a candidate
-  /// list containing `writes` write entries, without selecting anything.
+  /// Apply exactly the hysteresis update pick() performs for a queue
+  /// holding `writes` write entries, without selecting anything.
   /// The update is idempotent for a fixed queue composition, so the
   /// controller's burst-issue fast path calls it once per composition
   /// segment instead of once per skipped tick and lands on the same
@@ -131,7 +140,8 @@ class ReadFirstScheduler final : public Scheduler {
 /// Real-time TDM arbitration: the command bus rotates through `num_slots`
 /// fixed time slots of `slot_cycles` each; during slot s only clients with
 /// `client_id % num_slots == s` may issue. Within the owner's slot the
-/// policy is FR-FCFS (row hits first, then oldest). Starvation-free by
+/// policy is FR-FCFS (row hits first, then oldest). The caller marks the
+/// owner's entries in `RoundMasks::owner` using owner(cycle). Starvation-free by
 /// construction — every client's worst-case service is a pure function of
 /// the timing parameters (see core/wcet.hpp) — at the cost of leaving
 /// slots idle when their owner has no work. Pair with kBankRowCol and
@@ -140,8 +150,7 @@ class TdmScheduler final : public Scheduler {
  public:
   TdmScheduler(unsigned slot_cycles, unsigned num_slots);
 
-  std::size_t pick(const std::vector<Candidate>& candidates,
-                   std::uint64_t cycle,
+  std::size_t pick(const RoundMasks& m,
                    std::uint64_t oldest_wait) const override;
 
   /// Which slot (and thus which client-id class) owns `cycle`.

@@ -8,6 +8,7 @@
 #include "dram/controller.hpp"
 #include "dram/presets.hpp"
 #include "dram/scheduler.hpp"
+#include "scheduler_reference.hpp"
 
 namespace edsim::dram {
 namespace {
@@ -69,10 +70,11 @@ TEST(Ddr, ReadLatencyShrinksByBurstTime) {
   EXPECT_EQ(latency(sdr) - latency(ddr), 2u);
 }
 
-Candidate cand(std::size_t q, bool write, bool hit, bool issuable) {
+using reference::Candidate;
+using reference::pick;
+
+Candidate cand(bool write, bool hit, bool issuable) {
   Candidate c;
-  c.queue_index = q;
-  c.cmd = write ? Command::kWrite : Command::kRead;
   c.is_write = write;
   c.row_hit = hit;
   c.issuable = issuable;
@@ -82,54 +84,54 @@ Candidate cand(std::size_t q, bool write, bool hit, bool issuable) {
 TEST(ReadFirst, ReadsBeatOlderWrites) {
   ReadFirstScheduler s(4, 1);
   std::vector<Candidate> cs = {
-      cand(0, true, true, true),   // old write, row hit
-      cand(1, false, false, true), // younger read, row miss
+      cand(true, true, true),   // old write, row hit
+      cand(false, false, true), // younger read, row miss
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 1u);
 }
 
 TEST(ReadFirst, RowHitReadsFirstAmongReads) {
   ReadFirstScheduler s(4, 1);
   std::vector<Candidate> cs = {
-      cand(0, false, false, true),
-      cand(1, false, true, true),
+      cand(false, false, true),
+      cand(false, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 1u);
 }
 
 TEST(ReadFirst, DrainModeKicksInAtHighWatermark) {
   ReadFirstScheduler s(/*high=*/3, /*low=*/1);
   std::vector<Candidate> cs = {
-      cand(0, true, true, true),
-      cand(1, true, false, true),
-      cand(2, true, false, true),
-      cand(3, false, true, true),
+      cand(true, true, true),
+      cand(true, false, true),
+      cand(true, false, true),
+      cand(false, true, true),
   };
   // 3 writes >= high watermark: drain mode, writes first.
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);
   EXPECT_TRUE(s.draining());
   // Once writes fall to the low watermark, reads lead again.
   std::vector<Candidate> few = {
-      cand(0, true, true, true),
-      cand(1, false, true, true),
+      cand(true, true, true),
+      cand(false, true, true),
   };
-  EXPECT_EQ(s.pick(few, 0, 0), 1u);
+  EXPECT_EQ(pick(s, few, 0, 0), 1u);
   EXPECT_FALSE(s.draining());
 }
 
 TEST(ReadFirst, ServesWritesWhenNoReadPresent) {
   ReadFirstScheduler s(8, 2);
-  std::vector<Candidate> cs = {cand(0, true, false, true)};
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  std::vector<Candidate> cs = {cand(true, false, true)};
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);
 }
 
 TEST(ReadFirst, StarvationGuard) {
   ReadFirstScheduler s(8, 2, /*starvation_cap=*/100);
   std::vector<Candidate> cs = {
-      cand(0, true, false, true),  // ancient write
-      cand(1, false, true, true),
+      cand(true, false, true),  // ancient write
+      cand(false, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 101), 0u);
+  EXPECT_EQ(pick(s, cs, 0, 101), 0u);
 }
 
 TEST(ReadFirst, RejectsBadWatermarks) {

@@ -639,6 +639,142 @@ TEST(DifferentialFuzz, DecoderRosterBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Deep-queue controller differential: the trials above draw queue depths of
+// at most 64, so a scheduler round never spans more than one 64-bit mask
+// word there. This drives a bare Controller at depths 65, 128 and 512 with
+// bursty multi-client traffic, for every policy x page policy, with and
+// without the watchdog: fast-forward (with and without burst issue) and the
+// dense_advance drive must match per-cycle ticking, and the log must pass
+// the protocol checker.
+
+#ifdef EDSIM_FUZZ_SOAK
+constexpr std::uint64_t kDeepQueueWindow = 60'000;
+#else
+constexpr std::uint64_t kDeepQueueWindow = 8'000;
+#endif
+
+enum class DeepDrive { kPerCycle, kFastForward, kBurst, kDense };
+
+struct DeepQueueRun {
+  dram::CommandLog log;
+  ControllerStats stats;
+  std::vector<Request> completed;
+};
+
+DeepQueueRun run_deep_queue(const DramConfig& cfg, std::uint64_t seed,
+                            DeepDrive drive) {
+  Controller ctl(cfg);
+  ctl.set_burst_issue(drive != DeepDrive::kFastForward);
+  DeepQueueRun run;
+  ctl.attach_command_log(&run.log);
+  Rng rng(seed);
+  const std::uint64_t access = cfg.bytes_per_access();
+  const std::uint64_t span = cfg.capacity().byte_count() / access;
+  std::vector<Request> pending;  // generated, waiting for a queue slot
+  std::vector<Request> sink;
+  std::uint64_t next_arrival = 0;
+  while (ctl.cycle() < kDeepQueueWindow) {
+    if (ctl.cycle() == next_arrival) {
+      // A burst of sequential runs and random accesses from six clients,
+      // sized to keep the queue near full across several mask words.
+      if (pending.size() < cfg.queue_depth) {
+        const std::uint64_t count = 1 + rng.next_below(cfg.queue_depth);
+        const double write_share = rng.next_double();
+        std::uint64_t beat = rng.next_below(span);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          beat = rng.next_bool(0.6) ? (beat + 1) % span : rng.next_below(span);
+          Request r;
+          r.addr = beat * access;
+          r.type = rng.next_bool(write_share) ? dram::AccessType::kWrite
+                                              : dram::AccessType::kRead;
+          r.client_id = static_cast<unsigned>(rng.next_below(6));
+          pending.push_back(r);
+        }
+      }
+      next_arrival += 1 + rng.next_below(4 * cfg.queue_depth);
+    }
+    std::size_t taken = 0;
+    while (taken < pending.size() && ctl.enqueue(pending[taken])) ++taken;
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(taken));
+    const std::uint64_t stop = std::min(next_arrival, kDeepQueueWindow);
+    switch (drive) {
+      case DeepDrive::kPerCycle:
+        while (ctl.cycle() < stop) ctl.tick();
+        break;
+      case DeepDrive::kFastForward:
+      case DeepDrive::kBurst:
+        ctl.tick_until(stop);
+        break;
+      case DeepDrive::kDense:
+        while (ctl.cycle() < stop) ctl.dense_advance(stop);
+        break;
+    }
+    ctl.drain_completed_into(sink);
+    run.completed.insert(run.completed.end(), sink.begin(), sink.end());
+  }
+  run.stats = ctl.stats();
+  return run;
+}
+
+TEST(DifferentialFuzz, DeepQueueControllerBitIdentical) {
+  int trial = 0;
+  for (const unsigned depth : {65u, 128u, 512u}) {
+    for (const auto kind : {dram::SchedulerKind::kFcfs,
+                            dram::SchedulerKind::kFcfsPerBank,
+                            dram::SchedulerKind::kFrFcfs,
+                            dram::SchedulerKind::kReadFirst,
+                            dram::SchedulerKind::kTdm}) {
+      for (const auto page : {dram::PagePolicy::kOpen,
+                              dram::PagePolicy::kClosed,
+                              dram::PagePolicy::kTimeout}) {
+        for (const bool watchdog : {false, true}) {
+          const std::uint64_t seed = derive_seed(
+              kRootSeed, 90'000 + static_cast<std::uint64_t>(trial++));
+          DramConfig cfg = dram::presets::edram_module(
+              16, 64, depth == 128 ? 16u : 8u, 2048);
+          cfg.queue_depth = depth;
+          cfg.scheduler = kind;
+          cfg.page_policy = page;
+          cfg.page_timeout_cycles = 32;
+          cfg.tdm_slot_cycles = 24;
+          cfg.tdm_clients = 3;
+          if (watchdog) {
+            // Short deadlines so escalations fire; the retry budget keeps
+            // exhaustion (a thrown Error) out of the window.
+            cfg.watchdog_enabled = true;
+            cfg.watchdog_cycles = 600;
+            cfg.watchdog_retries = 1'000;
+          }
+          SCOPED_TRACE(describe_trial(trial, seed, cfg));
+          const DeepQueueRun reference =
+              run_deep_queue(cfg, seed, DeepDrive::kPerCycle);
+          EXPECT_TRUE(dram::ProtocolChecker(cfg).verify(reference.log).empty());
+          EXPECT_GT(reference.stats.reads + reference.stats.writes, 0u);
+          for (const DeepDrive drive : {DeepDrive::kFastForward,
+                                        DeepDrive::kBurst,
+                                        DeepDrive::kDense}) {
+            SCOPED_TRACE("drive " + std::to_string(static_cast<int>(drive)));
+            const DeepQueueRun run = run_deep_queue(cfg, seed, drive);
+            expect_stats_eq(reference.stats, run.stats);
+            expect_command_logs_eq(reference.log, run.log);
+            ASSERT_EQ(reference.completed.size(), run.completed.size());
+            for (std::size_t i = 0; i < run.completed.size(); ++i) {
+              EXPECT_EQ(reference.completed[i].id, run.completed[i].id);
+              EXPECT_EQ(reference.completed[i].done_cycle,
+                        run.completed[i].done_cycle);
+            }
+          }
+          if (HasFailure()) {
+            FAIL() << "reproduce with " << describe_trial(trial, seed, cfg);
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Multi-channel thread sweep: a direct MultiChannel drive (enqueue +
 // tick_until) must be bit-identical at 1, 2 and 8 tick threads, per
 // channel and in the merged metric registry.

@@ -2,15 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "dram/request.hpp"
+#include "scheduler_reference.hpp"
+
 namespace edsim::dram {
 namespace {
 
-Candidate cand(std::size_t qidx, unsigned bank, Command cmd, bool hit,
-               bool issuable) {
+using reference::Candidate;
+using reference::pick;
+
+// The Command argument names what the entry needs next; policies see
+// only the row-hit and issuable bits it implies.
+Candidate cand(unsigned bank, Command /*next*/, bool hit, bool issuable) {
   Candidate c;
-  c.queue_index = qidx;
   c.bank = bank;
-  c.cmd = cmd;
   c.row_hit = hit;
   c.issuable = issuable;
   return c;
@@ -19,74 +29,74 @@ Candidate cand(std::size_t qidx, unsigned bank, Command cmd, bool hit,
 TEST(Fcfs, OnlyHeadMayIssue) {
   FcfsScheduler s;
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kActivate, false, false),
-      cand(1, 1, Command::kRead, true, true),
+      cand(0, Command::kActivate, false, false),
+      cand(1, Command::kRead, true, true),
   };
   // Head not issuable: nothing issues even though a younger one could.
-  EXPECT_EQ(s.pick(cs, 0, 0), Scheduler::kNone);
+  EXPECT_EQ(pick(s, cs, 0, 0), Scheduler::kNone);
   cs[0].issuable = true;
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);
 }
 
 TEST(Fcfs, EmptyQueue) {
   FcfsScheduler s;
-  EXPECT_EQ(s.pick({}, 0, 0), Scheduler::kNone);
+  EXPECT_EQ(pick(s, {}, 0, 0), Scheduler::kNone);
 }
 
 TEST(FcfsPerBank, HeadOfEachBankMayIssue) {
   FcfsPerBankScheduler s;
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kActivate, false, false),  // bank 0 head, stuck
-      cand(1, 0, Command::kRead, true, true),        // bank 0, behind head
-      cand(2, 1, Command::kRead, true, true),        // bank 1 head, ready
+      cand(0, Command::kActivate, false, false),  // bank 0 head, stuck
+      cand(0, Command::kRead, true, true),        // bank 0, behind head
+      cand(1, Command::kRead, true, true),        // bank 1 head, ready
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 2u);  // bank 1's head proceeds independently
+  EXPECT_EQ(pick(s, cs, 0, 0), 2u);  // bank 1's head proceeds independently
 }
 
 TEST(FcfsPerBank, InOrderWithinBank) {
   FcfsPerBankScheduler s;
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kActivate, false, true),
-      cand(1, 0, Command::kRead, true, true),
+      cand(0, Command::kActivate, false, true),
+      cand(0, Command::kRead, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);  // never the younger one in the same bank
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);  // never the younger one in the same bank
 }
 
 TEST(FrFcfs, PrefersRowHitsOverOlderMisses) {
   FrFcfsScheduler s;
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kActivate, false, true),  // oldest, row miss
-      cand(1, 1, Command::kRead, true, true),       // younger, row hit
+      cand(0, Command::kActivate, false, true),  // oldest, row miss
+      cand(1, Command::kRead, true, true),       // younger, row hit
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 1u);
 }
 
 TEST(FrFcfs, OldestAmongEqualPriority) {
   FrFcfsScheduler s;
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kRead, true, true),
-      cand(1, 1, Command::kRead, true, true),
+      cand(0, Command::kRead, true, true),
+      cand(1, Command::kRead, true, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);
 }
 
 TEST(FrFcfs, FallsBackToOldestIssuable) {
   FrFcfsScheduler s;
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kPrecharge, false, false),
-      cand(1, 1, Command::kActivate, false, true),
+      cand(0, Command::kPrecharge, false, false),
+      cand(1, Command::kActivate, false, true),
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);
+  EXPECT_EQ(pick(s, cs, 0, 0), 1u);
 }
 
 TEST(FrFcfs, StarvationGuardRevertsToAgeOrder) {
   FrFcfsScheduler s(/*starvation_cap=*/100);
   std::vector<Candidate> cs = {
-      cand(0, 0, Command::kPrecharge, false, true),  // old conflict victim
-      cand(1, 1, Command::kRead, true, true),        // young row hit
+      cand(0, Command::kPrecharge, false, true),  // old conflict victim
+      cand(1, Command::kRead, true, true),        // young row hit
   };
-  EXPECT_EQ(s.pick(cs, 0, 50), 1u);   // normal: hit first
-  EXPECT_EQ(s.pick(cs, 0, 101), 0u);  // starved: oldest first
+  EXPECT_EQ(pick(s, cs, 0, 50), 1u);   // normal: hit first
+  EXPECT_EQ(pick(s, cs, 0, 101), 0u);  // starved: oldest first
 }
 
 TEST(SchedulerFactory, MakesRequestedKind) {
@@ -116,9 +126,8 @@ TEST(SchedulerFactory, TdmReadsSlotGeometryFromConfig) {
   EXPECT_EQ(tdm->num_slots(), 3u);
 }
 
-Candidate tdm_cand(std::size_t qidx, unsigned client, bool hit,
-                   bool issuable) {
-  Candidate c = cand(qidx, 0, hit ? Command::kRead : Command::kActivate, hit,
+Candidate tdm_cand(unsigned client, bool hit, bool issuable) {
+  Candidate c = cand(0, hit ? Command::kRead : Command::kActivate, hit,
                      issuable);
   c.client_id = client;
   return c;
@@ -127,44 +136,140 @@ Candidate tdm_cand(std::size_t qidx, unsigned client, bool hit,
 TEST(Tdm, OnlySlotOwnerMayIssue) {
   TdmScheduler s(/*slot_cycles=*/10, /*num_slots=*/2);
   std::vector<Candidate> cs = {
-      tdm_cand(0, 0, true, true),   // client 0, ready row hit
-      tdm_cand(1, 1, true, true),   // client 1, ready row hit
+      tdm_cand(0, true, true),   // client 0, ready row hit
+      tdm_cand(1, true, true),   // client 1, ready row hit
   };
-  EXPECT_EQ(s.pick(cs, 5, 0), 0u);    // cycles 0..9: slot 0
-  EXPECT_EQ(s.pick(cs, 15, 0), 1u);   // cycles 10..19: slot 1
-  EXPECT_EQ(s.pick(cs, 25, 0), 0u);   // rotation wraps
+  EXPECT_EQ(pick(s, cs, 5, 0), 0u);    // cycles 0..9: slot 0
+  EXPECT_EQ(pick(s, cs, 15, 0), 1u);   // cycles 10..19: slot 1
+  EXPECT_EQ(pick(s, cs, 25, 0), 0u);   // rotation wraps
 }
 
 TEST(Tdm, IdleSlotStaysIdleEvenUnderStarvation) {
   TdmScheduler s(/*slot_cycles=*/10, /*num_slots=*/2);
   std::vector<Candidate> cs = {
-      tdm_cand(0, 1, true, true),   // only client 1 has work
+      tdm_cand(1, true, true),   // only client 1 has work
   };
   // Slot 0 stays idle no matter how long client 1 has waited: the
   // rotation, not an age cap, is the starvation guard.
-  EXPECT_EQ(s.pick(cs, 3, 1'000'000), Scheduler::kNone);
-  EXPECT_EQ(s.pick(cs, 13, 0), 0u);
+  EXPECT_EQ(pick(s, cs, 3, 1'000'000), Scheduler::kNone);
+  EXPECT_EQ(pick(s, cs, 13, 0), 0u);
 }
 
 TEST(Tdm, FrFcfsOrderWithinSlot) {
   TdmScheduler s(/*slot_cycles=*/100, /*num_slots=*/2);
   std::vector<Candidate> cs = {
-      tdm_cand(0, 0, false, true),  // owner, older, row miss
-      tdm_cand(1, 0, true, true),   // owner, younger, row hit
-      tdm_cand(2, 1, true, true),   // not the owner: invisible this slot
+      tdm_cand(0, false, true),  // owner, older, row miss
+      tdm_cand(0, true, true),   // owner, younger, row hit
+      tdm_cand(1, true, true),   // not the owner: invisible this slot
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 1u);  // hit first within the owner's work
+  EXPECT_EQ(pick(s, cs, 0, 0), 1u);  // hit first within the owner's work
   cs[1].issuable = false;
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);  // then oldest issuable
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);  // then oldest issuable
 }
 
 TEST(Tdm, ClientIdsFoldOntoSlots) {
   TdmScheduler s(/*slot_cycles=*/10, /*num_slots=*/2);
   std::vector<Candidate> cs = {
-      tdm_cand(0, 2, true, true),  // 2 % 2 == 0: shares slot 0
+      tdm_cand(2, true, true),  // 2 % 2 == 0: shares slot 0
   };
-  EXPECT_EQ(s.pick(cs, 0, 0), 0u);
-  EXPECT_EQ(s.pick(cs, 10, 0), Scheduler::kNone);
+  EXPECT_EQ(pick(s, cs, 0, 0), 0u);
+  EXPECT_EQ(pick(s, cs, 10, 0), Scheduler::kNone);
+}
+
+
+// --- mask picks vs. the per-candidate reference loops ---------------------
+// Random rounds over every depth 1..130 plus 512, so the 63/64/65 and 128
+// word boundaries of the masks are crossed. Each round draws its issuable
+// density, so the first pickable entry also lands in later words.
+
+std::vector<Candidate> random_round(Rng& rng, std::size_t depth) {
+  const unsigned banks = 1u << rng.next_below(7);  // 1 .. 64
+  const unsigned rows = 1 + static_cast<unsigned>(rng.next_below(8));
+  // Each bank is precharged (no row matches) or has one of `rows` open.
+  std::vector<unsigned> open_row(banks);
+  for (unsigned& r : open_row) {
+    r = static_cast<unsigned>(rng.next_below(rows + 1));
+  }
+  const double p_issuable = 1.0 / static_cast<double>(1 + rng.next_below(64));
+  const double p_write = rng.next_double();
+  std::vector<Candidate> cs(depth);
+  for (Candidate& c : cs) {
+    c.bank = static_cast<unsigned>(rng.next_below(banks));
+    const auto row = static_cast<unsigned>(rng.next_below(rows));
+    c.row_hit = open_row[c.bank] == row;
+    c.client_id = static_cast<unsigned>(rng.next_below(9));
+    c.issuable = rng.next_bool(p_issuable);
+    c.is_write = rng.next_bool(p_write);
+  }
+  return cs;
+}
+
+std::vector<std::size_t> test_depths() {
+  std::vector<std::size_t> depths;
+  for (std::size_t d = 1; d <= 130; ++d) depths.push_back(d);
+  depths.push_back(512);
+  return depths;
+}
+
+TEST(SchedulerMasks, StatelessPoliciesMatchReference) {
+  Rng rng(0x5c4ed01e);
+  const FcfsScheduler fcfs;
+  const FcfsPerBankScheduler per_bank;
+  const FrFcfsScheduler fr(/*starvation_cap=*/100);
+  for (const std::size_t depth : test_depths()) {
+    for (int round = 0; round < 20; ++round) {
+      const std::vector<Candidate> cs = random_round(rng, depth);
+      const std::uint64_t wait = rng.next_below(200);
+      const std::uint64_t cycle = rng.next_below(10'000);
+      SCOPED_TRACE(::testing::Message()
+                   << "depth " << depth << " round " << round);
+      EXPECT_EQ(pick(fcfs, cs, cycle, wait), reference::fcfs(cs));
+      EXPECT_EQ(pick(per_bank, cs, cycle, wait),
+                reference::fcfs_per_bank(cs));
+      EXPECT_EQ(pick(fr, cs, cycle, wait), reference::fr_fcfs(cs, 100, wait));
+      const auto slot_cycles = static_cast<unsigned>(1 + rng.next_below(40));
+      const auto slots = static_cast<unsigned>(1 + rng.next_below(5));
+      const TdmScheduler tdm(slot_cycles, slots);
+      EXPECT_EQ(pick(tdm, cs, cycle, wait),
+                reference::tdm(cs, cycle, slot_cycles, slots));
+    }
+  }
+}
+
+TEST(SchedulerMasks, SingleEntryAtEveryWordBoundary) {
+  // Exactly one pickable entry, placed on each side of each word edge.
+  const FrFcfsScheduler fr;
+  for (const std::size_t depth : {64u, 65u, 128u, 129u, 512u}) {
+    for (const std::size_t at : {0u, 62u, 63u, 64u, 65u, 127u, 128u, 511u}) {
+      if (at >= depth) continue;
+      std::vector<Candidate> cs(depth);
+      cs[at].issuable = true;
+      EXPECT_EQ(pick(fr, cs, 0, 0), at) << "depth " << depth;
+      cs[at].row_hit = true;
+      EXPECT_EQ(pick(fr, cs, 0, 0), at) << "depth " << depth;
+    }
+  }
+}
+
+TEST(SchedulerMasks, ReadFirstSequencesMatchReference) {
+  // Whole pick sequences, so the write-drain hysteresis state is compared
+  // round by round as the queue's write count crosses the watermarks.
+  Rng rng(0x4eadf125u);
+  for (const std::size_t depth : test_depths()) {
+    const auto high = static_cast<unsigned>(
+        2 + rng.next_below(std::min<std::size_t>(depth, 40)));
+    const auto low = static_cast<unsigned>(rng.next_below(high));
+    ReadFirstScheduler s(high, low, /*starvation_cap=*/300);
+    reference::ReadFirst ref{high, low, 300};
+    for (int round = 0; round < 12; ++round) {
+      const std::vector<Candidate> cs = random_round(rng, depth);
+      const std::uint64_t wait = rng.next_below(400);
+      SCOPED_TRACE(::testing::Message()
+                   << "depth " << depth << " round " << round);
+      EXPECT_EQ(pick(s, cs, 0, wait), ref.pick(cs, wait));
+      EXPECT_EQ(s.draining(), ref.draining);
+    }
+  }
 }
 
 }  // namespace

@@ -516,7 +516,7 @@ void BM_BatchSerial(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * cfgs.size()));
 }
-BENCHMARK(BM_BatchSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchSerial)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_BatchSharded(benchmark::State& state) {
   const auto cfgs = sweep_candidates();
@@ -535,7 +535,11 @@ void BM_BatchSharded(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * cfgs.size()));
 }
-BENCHMARK(BM_BatchSharded)->Arg(4)->Unit(benchmark::kMillisecond);
+// Real time: the forked workers' CPU time never shows in the parent's.
+BENCHMARK(BM_BatchSharded)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // --- checkpoint-and-fan-out: before/after pair -----------------------------
 // The warm-up amortization shape: nine config variants share one channel
@@ -655,12 +659,12 @@ void BM_SampledRun(benchmark::State& state) {
 BENCHMARK(BM_SampledRun)->Unit(benchmark::kMillisecond);
 
 // --- deep-queue scheduling --------------------------------------------------
-// Deep queue, bursty arrivals, event-driven drive: every round fills the
-// queue masks in one pass over the queue and every bulk step asks
-// next_event_cycle, so the cost of one scheduling pass over the queue
-// dominates. The queue is 512 deep, far past any depth the examples or the
-// reproduction run (2–64), so this records the worst-case absolute cost of
-// the scheduling round.
+// Deep queue, bursty arrivals, event-driven drive: every tick runs a
+// scheduler round and every bulk step asks next_event_cycle, both over
+// eight mask words per position mask, and every column issue shifts its
+// entry out of every queued bank's mask. The queue is 512 deep, far past any depth the
+// examples or the reproduction run (2–64), so this records the worst-case
+// absolute cost of the scheduling round.
 
 std::uint64_t run_deep_queue() {
   dram::DramConfig cfg = dram::presets::edram_module(64, 128, 16, 2048);
@@ -703,15 +707,18 @@ BENCHMARK(BM_DeepQueueScheduling)->Unit(benchmark::kMillisecond);
 
 constexpr std::uint64_t kDenseQueueCycles = 200'000;
 
-std::uint64_t run_dense_queue() {
-  const dram::DramConfig cfg = dram::presets::edram_module(16, 64, 4, 2048);
-  dram::Controller ctl(cfg);
-  Rng rng(12);
+dram::DramConfig dense_channel() {
+  return dram::presets::edram_module(16, 64, 4, 2048);
+}
+
+/// Tick `ctl` `cycles` times, topping its queue up to full before each.
+void run_full_queue(dram::Controller& ctl, Rng& rng, std::uint64_t cycles) {
+  const dram::DramConfig& cfg = ctl.config();
   const std::uint64_t beats = cfg.capacity().byte_count() /
                               cfg.bytes_per_access();
-  std::uint64_t next = 0;
+  std::uint64_t next = rng.next_below(beats);
   std::vector<dram::Request> sink;
-  for (std::uint64_t c = 0; c < kDenseQueueCycles; ++c) {
+  for (std::uint64_t c = 0; c < cycles; ++c) {
     while (!ctl.queue_full()) {
       // Half sequential (row hits), half random (misses and conflicts).
       next = rng.next_bool(0.5) ? next + 1 : rng.next_below(beats);
@@ -724,6 +731,12 @@ std::uint64_t run_dense_queue() {
     ctl.tick();
     ctl.drain_completed_into(sink);
   }
+}
+
+std::uint64_t run_dense_queue() {
+  dram::Controller ctl(dense_channel());
+  Rng rng(12);
+  run_full_queue(ctl, rng, kDenseQueueCycles);
   return ctl.stats().reads + ctl.stats().writes;
 }
 
@@ -735,6 +748,28 @@ void BM_DenseQueueScheduling(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(kDenseQueueCycles)));
 }
 BENCHMARK(BM_DenseQueueScheduling)->Unit(benchmark::kMillisecond);
+
+// The next-event bound alone, on the same channel shape: 64 controllers,
+// each left by a full-queue run of random length in a different state
+// (banks open and precharged, reads and writes mixed, 32 queued), are
+// asked for next_event_cycle() in turn.
+
+void BM_NextEventBound(benchmark::State& state) {
+  std::vector<std::unique_ptr<dram::Controller>> ctls;
+  Rng rng(14);
+  for (int i = 0; i < 64; ++i) {
+    ctls.push_back(std::make_unique<dram::Controller>(dense_channel()));
+    run_full_queue(*ctls.back(), rng, 100 + rng.next_below(2'000));
+  }
+  for (auto _ : state) {
+    for (const auto& ctl : ctls) {
+      benchmark::DoNotOptimize(ctl->next_event_cycle());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ctls.size()));
+}
+BENCHMARK(BM_NextEventBound);
 
 // --- multi-channel tick_until: serial vs fanned-out ------------------------
 // Args: (channels, tick threads); threads=1 forces the serial walk, 0 uses
@@ -773,6 +808,7 @@ BENCHMARK(BM_MultiChannelTickUntil)
     ->Args({4, 0})
     ->Args({8, 1})
     ->Args({8, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_MultiChannelTick(benchmark::State& state) {

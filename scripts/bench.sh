@@ -10,7 +10,8 @@
 # simulated bandwidth/latency with the analytical WCET bound. The context
 # section also records the source size (lines of src/ and of the channel
 # controller), so every snapshot pairs its timings with the code that
-# produced them.
+# produced them, and the CPUs available to the run (nproc), which the
+# real-time multi-threaded and multi-process benchmarks depend on.
 #
 # Build-type provenance: the "library_build_type" field google-benchmark
 # writes into the JSON context describes the SYSTEM-PACKAGED harness
@@ -147,6 +148,7 @@ build-release/bench/perf_microbench \
   --benchmark_context=edsim_build_type="$build_type" \
   --benchmark_context=src_lines="${src_lines// /}" \
   --benchmark_context=controller_cpp_lines="${controller_lines// /}" \
+  --benchmark_context=nproc="$(nproc)" \
   "$@"
 
 # Console summary of the headline before/after pairs, when python3 exists.

@@ -30,6 +30,10 @@ void DramConfig::validate() const {
           "dram: one burst must fit within a page");
   require(clock.mhz > 0.0, "dram: clock must be positive");
   require(queue_depth >= 1, "dram: queue_depth must be >= 1");
+  // The controller sizes its queue position masks from queue_depth (and
+  // tdm_clients below) up front.
+  require(queue_depth <= 4096,
+          "dram: queue_depth > 4096 is not a realistic controller queue");
   require(transfers_per_clock == 1 || transfers_per_clock == 2 ||
               transfers_per_clock == 4,
           "dram: transfers_per_clock must be 1 (SDR), 2 (DDR) or 4");
@@ -56,6 +60,8 @@ void DramConfig::validate() const {
   if (scheduler == SchedulerKind::kTdm) {
     require(tdm_slot_cycles >= 1, "dram: tdm_slot_cycles must be >= 1");
     require(tdm_clients >= 1, "dram: tdm_clients must be >= 1");
+    require(tdm_clients <= 1024,
+            "dram: tdm_clients > 1024 slots is not a realistic rotation");
   }
 }
 

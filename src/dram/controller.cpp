@@ -17,19 +17,30 @@ std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
 
 std::uint64_t bank_bit(unsigned b) { return std::uint64_t{1} << b; }
 
-// Key mirror entries pack (bank, row, direction) as
-// (bank << 33) | (row << 1) | write.
-std::uint64_t queue_key(unsigned bank, unsigned row, bool write) {
-  return (std::uint64_t{bank} << 33) | (std::uint64_t{row} << 1) |
-         (write ? 1u : 0u);
+/// Index of the lowest set bit of a non-zero mask.
+unsigned lowest_bit(std::uint64_t m) {
+  return static_cast<unsigned>(std::countr_zero(m));
 }
-unsigned key_bank(std::uint64_t key) {
-  return static_cast<unsigned>(key >> 33);
+
+/// All ones when bit b of `banks` is set, else zero.
+std::uint64_t select(std::uint64_t banks, unsigned b) {
+  return std::uint64_t{0} - ((banks >> b) & 1u);
 }
-/// True when the entry's next command is a column access to the open row.
-bool key_hits(std::uint64_t key, const Bank& bank) {
-  return bank.has_open_row() &&
-         bank.open_row() == static_cast<unsigned>((key >> 1) & 0xffffffffu);
+
+/// Words of a position mask that cover `entries` queue entries.
+std::size_t mask_words(std::size_t entries) { return (entries + 63) / 64; }
+
+/// Remove bit `pos` from the `words`-word mask `m`: every higher bit moves
+/// down one place, carrying across word boundaries.
+void erase_bit(std::uint64_t* m, std::size_t words, std::size_t pos) {
+  std::size_t w = pos / 64;
+  const std::uint64_t low = (std::uint64_t{1} << (pos % 64)) - 1;
+  std::uint64_t x = (m[w] & low) | ((m[w] >> 1) & ~low);
+  for (; w + 1 < words; ++w) {
+    m[w] = x | (m[w + 1] << 63);
+    x = m[w + 1] >> 1;
+  }
+  m[w] = x;
 }
 }  // namespace
 
@@ -43,7 +54,14 @@ Controller::Controller(const DramConfig& cfg)
   for (unsigned b = 0; b < cfg_.banks; ++b) banks_.emplace_back(cfg_.timing);
   last_col_cycle_.assign(cfg_.banks, 0);
   maint_until_.assign(cfg_.banks, 0);
-  open_row_key_.assign(cfg_.banks, 0);
+  mask_words_ = mask_words(cfg_.queue_depth);
+  if (cfg_.scheduler == SchedulerKind::kTdm) tdm_classes_ = cfg_.tdm_clients;
+  pos_masks_.assign((2 + std::size_t{cfg_.banks} + tdm_classes_) * mask_words_,
+                    0);
+  write_pos_ = pos_masks_.data();
+  hit_pos_ = write_pos_ + mask_words_;
+  bank_pos_ = hit_pos_ + mask_words_;
+  class_pos_ = bank_pos_ + cfg_.banks * mask_words_;
 }
 
 void Controller::log_command(const CommandRecord& rec) {
@@ -155,111 +173,156 @@ std::uint64_t Controller::channel_column_release(AccessType type) const {
 }
 
 void Controller::push_queue_entry(const QueueEntry& e) {
-  const bool is_write = e.req.type == AccessType::kWrite;
+  const std::size_t w = queue_.size() / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (queue_.size() % 64);
+  const Bank& bank = banks_[e.coord.bank];
+  bank_pos(e.coord.bank)[w] |= bit;
+  queued_banks_ |= bank_bit(e.coord.bank);
+  if (e.req.type == AccessType::kWrite) write_pos_[w] |= bit;
+  if (bank.has_open_row() && bank.open_row() == e.coord.row) {
+    hit_pos_[w] |= bit;
+  }
+  if (tdm_classes_ != 0) class_pos(e.req.client_id % tdm_classes_)[w] |= bit;
   queue_.push_back(e);
-  streak_key_.push_back(queue_key(e.coord.bank, e.coord.row, is_write));
-  streak_client_.push_back(e.req.client_id);
-  if (is_write) ++queued_writes_;
 }
 
 void Controller::erase_queue_entry(std::size_t pos) {
-  if (queue_[pos].req.type == AccessType::kWrite) --queued_writes_;
-  streak_key_.erase(streak_key_.begin() + static_cast<std::ptrdiff_t>(pos));
-  streak_client_.erase(streak_client_.begin() +
-                       static_cast<std::ptrdiff_t>(pos));
+  const std::size_t words = mask_words(queue_.size());
+  for (std::uint64_t m = queued_banks_; m != 0; m &= m - 1) {
+    erase_bit(bank_pos(lowest_bit(m)), words, pos);
+  }
+  erase_bit(write_pos_, words, pos);
+  erase_bit(hit_pos_, words, pos);
+  for (unsigned c = 0; c < tdm_classes_; ++c) {
+    erase_bit(class_pos(c), words, pos);
+  }
+  const unsigned b = queue_[pos].coord.bank;
+  const std::uint64_t* bp = bank_pos(b);
+  if (std::all_of(bp, bp + words, [](std::uint64_t x) { return x == 0; })) {
+    queued_banks_ &= ~bank_bit(b);
+  }
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
+}
+
+void Controller::mark_row_hits(unsigned b) {
+  const unsigned row = banks_[b].open_row();
+  const std::uint64_t* bp = bank_pos(b);
+  for (std::size_t w = 0; w < mask_words(queue_.size()); ++w) {
+    std::uint64_t hit = 0;
+    for (std::uint64_t m = bp[w]; m != 0; m &= m - 1) {
+      if (queue_[w * 64 + lowest_bit(m)].coord.row == row) hit |= m & (0 - m);
+    }
+    hit_pos_[w] = (hit_pos_[w] & ~bp[w]) | hit;
+  }
+}
+
+unsigned Controller::queued_writes() const {
+  unsigned writes = 0;
+  for (std::size_t w = 0; w < mask_words(queue_.size()); ++w) {
+    writes += static_cast<unsigned>(std::popcount(write_pos_[w]));
+  }
+  return writes;
+}
+
+std::uint64_t Controller::wanted_rows() const {
+  const std::size_t words = mask_words(queue_.size());
+  std::uint64_t wanted = 0;
+  for (std::uint64_t m = queued_banks_; m != 0; m &= m - 1) {
+    const unsigned b = lowest_bit(m);
+    if (!banks_[b].has_open_row()) continue;
+    const std::uint64_t* bp = bank_pos(b);
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((bp[w] & hit_pos_[w]) != 0) {
+        wanted |= bank_bit(b);
+        break;
+      }
+    }
+  }
+  return wanted;
 }
 
 // --- scheduler round ---------------------------------------------------------
 
-std::size_t Controller::schedule_round(std::uint64_t& wanted_rows) {
+std::size_t Controller::schedule_round() {
   if (queue_.empty()) {
     scheduler_note_pick();  // a round over an empty queue picks nothing
     return Scheduler::kNone;
   }
-  // Per-bank legality of each command class, with the channel-level
-  // releases (tRRD/tFAW, data bus and turnaround) folded in once per
-  // round, indexed by (row hit << 1) | write: a miss needs ACT on a
-  // precharged bank or PRE on an open one, a hit needs RD or WR.
-  // The same loop records each bank's open row as `key >> 1` of an entry
-  // that hits it (a value no key takes for a precharged bank), so the
-  // queue pass tests a row hit with one compare.
+  // Per-bank legality of each command class over the banks with queued
+  // work, with the channel-level releases (tRRD/tFAW, data bus and
+  // turnaround) and pending auto-precharges folded in once per round. A
+  // miss needs ACT on a precharged bank or PRE on an open one, a hit
+  // needs RD or WR.
+  const bool act_ok = cycle_ >= channel_act_release();
+  const bool rd_ok = cycle_ >= channel_column_release(AccessType::kRead);
+  const bool wr_ok = cycle_ >= channel_column_release(AccessType::kWrite);
+  std::uint64_t open = 0;
+  std::uint64_t miss = 0;
   std::uint64_t col = 0;
-  std::uint64_t act = 0;
-  std::uint64_t pre = 0;
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
+  for (std::uint64_t m = queued_banks_; m != 0; m &= m - 1) {
+    const unsigned b = lowest_bit(m);
     const Bank& bank = banks_[b];
-    open_row_key_[b] = bank.has_open_row()
-                           ? queue_key(b, bank.open_row(), false) >> 1
-                           : ~std::uint64_t{0};
+    if (!bank.has_open_row()) {
+      if (act_ok && bank.can_issue(Command::kActivate, cycle_)) {
+        miss |= bank_bit(b);
+      }
+      continue;
+    }
+    open |= bank_bit(b);
+    if (bank.can_issue(Command::kPrecharge, cycle_)) miss |= bank_bit(b);
     if (bank.can_issue(Command::kRead, cycle_)) col |= bank_bit(b);
-    if (bank.can_issue(Command::kPrecharge, cycle_)) pre |= bank_bit(b);
-    if (bank.can_issue(Command::kActivate, cycle_)) act |= bank_bit(b);
   }
-  const std::uint64_t ready = ~autopre_banks_;
-  const std::uint64_t miss =
-      ((cycle_ >= channel_act_release() ? act : 0) | pre) & ready;
-  const std::uint64_t legal[4] = {
-      miss, miss,
-      cycle_ >= channel_column_release(AccessType::kRead) ? col & ready : 0,
-      cycle_ >= channel_column_release(AccessType::kWrite) ? col & ready : 0};
+  miss &= ~autopre_banks_;
+  col &= ~autopre_banks_;
+  const std::uint64_t rd = rd_ok ? col : 0;
+  const std::uint64_t wr = wr_ok ? col : 0;
 
   const bool escalated = front_escalated();
-  // No bank can take any command: nothing is issuable, so skip the queue
-  // pass. `pre` stays unmasked here because the page-timeout close needs
-  // `wanted_rows` whenever any bank could be precharged.
-  if ((legal[0] | legal[2] | legal[3] | pre) == 0) {
+  // No queued bank can take any command: nothing is issuable.
+  if ((miss | rd | wr) == 0) {
     if (!escalated) scheduler_note_pick();
     return Scheduler::kNone;
   }
 
-  // One pass over the key mirror; it never reads a QueueEntry.
-  const bool heads = cfg_.scheduler == SchedulerKind::kFcfsPerBank;
-  unsigned slots = 0;
-  unsigned own = 0;
-  if (cfg_.scheduler == SchedulerKind::kTdm) {
-    const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
-    slots = tdm.num_slots();
-    own = tdm.owner(cycle_);
-  }
-  const std::size_t n = queue_.size();
-  masks_.resize(n);
-  masks_.writes = queued_writes_;
-  std::uint64_t seen_banks = 0;
-  std::uint64_t wanted = 0;
-  for (std::size_t base = 0; base < n; base += 64) {
-    const std::size_t end = std::min(n, base + 64);
-    std::uint64_t issuable = 0;
-    std::uint64_t row_hit = 0;
-    std::uint64_t write = 0;
-    std::uint64_t bank_head = 0;
-    std::uint64_t owner = 0;
-    for (std::size_t i = base; i < end; ++i) {
-      const std::uint64_t key = streak_key_[i];
-      const unsigned b = key_bank(key);
-      const std::uint64_t w = key & 1;
-      const std::uint64_t hit = (key >> 1) == open_row_key_[b] ? 1 : 0;
-      const std::size_t shift = i - base;
-      issuable |= ((legal[(hit << 1) | w] >> b) & 1) << shift;
-      row_hit |= hit << shift;
-      write |= w << shift;
-      wanted |= hit << b;
-      if (heads) {
-        bank_head |= ((~seen_banks >> b) & 1) << shift;
-        seen_banks |= bank_bit(b);
-      }
-      if (slots != 0 && streak_client_[i] % slots == own) {
-        owner |= std::uint64_t{1} << shift;
-      }
+  // Per word, OR each queued bank's positions into the classes its
+  // legality allows; the row-hit and write masks then pick the class of
+  // every entry at once.
+  masks_.resize(queue_.size());
+  masks_.writes = queued_writes();
+  const std::size_t words = masks_.words();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t open_pos = 0;
+    std::uint64_t miss_pos = 0;
+    std::uint64_t rd_pos = 0;
+    std::uint64_t wr_pos = 0;
+    for (std::uint64_t m = queued_banks_; m != 0; m &= m - 1) {
+      const unsigned b = lowest_bit(m);
+      const std::uint64_t pos = bank_pos(b)[w];
+      open_pos |= pos & select(open, b);
+      miss_pos |= pos & select(miss, b);
+      rd_pos |= pos & select(rd, b);
+      wr_pos |= pos & select(wr, b);
     }
-    const std::size_t word = base / 64;
-    masks_.issuable[word] = issuable;
-    masks_.row_hit[word] = row_hit;
-    masks_.write[word] = write;
-    masks_.bank_head[word] = bank_head;
-    masks_.owner[word] = owner;
+    const std::uint64_t hit = hit_pos_[w] & open_pos;
+    const std::uint64_t write = write_pos_[w];
+    masks_.row_hit[w] = hit;
+    masks_.write[w] = write;
+    masks_.issuable[w] =
+        (miss_pos & ~hit) | (hit & ((rd_pos & ~write) | (wr_pos & write)));
   }
-  wanted_rows = wanted;
+  if (cfg_.scheduler == SchedulerKind::kFcfsPerBank) {
+    // Each queued bank's oldest entry is the lowest bit of its mask.
+    std::fill_n(masks_.bank_head.begin(), words, 0);
+    for (std::uint64_t m = queued_banks_; m != 0; m &= m - 1) {
+      const std::uint64_t* bp = bank_pos(lowest_bit(m));
+      std::size_t w = 0;
+      while (bp[w] == 0) ++w;
+      masks_.bank_head[w] |= bp[w] & (0 - bp[w]);
+    }
+  } else if (tdm_classes_ != 0) {
+    const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
+    std::copy_n(class_pos(tdm.owner(cycle_)), words, masks_.owner.begin());
+  }
 
   if (escalated) {
     // An escalated request owns the command slot until it completes. Under
@@ -269,9 +332,7 @@ std::size_t Controller::schedule_round(std::uint64_t& wanted_rows) {
     // can wait.
     return (masks_.issuable[0] & 1) != 0 ? 0 : Scheduler::kNone;
   }
-  const std::uint64_t oldest_wait =
-      n == 0 ? 0 : cycle_ - queue_.front().req.arrival_cycle;
-  return dispatch_pick(oldest_wait);
+  return dispatch_pick(cycle_ - queue_.front().req.arrival_cycle);
 }
 
 void Controller::issue_column(QueueEntry& e, std::uint64_t cycle) {
@@ -327,7 +388,7 @@ void Controller::tick_autoprecharge() {
   // Auto-precharge does not occupy the command bus (it is encoded in the
   // column command on real parts); apply it as soon as it becomes legal.
   for (std::uint64_t m = autopre_banks_; m != 0; m &= m - 1) {
-    const auto b = static_cast<unsigned>(std::countr_zero(m));
+    const unsigned b = lowest_bit(m);
     if (banks_[b].can_issue(Command::kPrecharge, cycle_)) {
       banks_[b].issue(Command::kPrecharge, 0, cycle_);
       ++stats_.precharges;
@@ -396,12 +457,6 @@ bool Controller::tick_maintenance() {
   // is pending; past the deadline an op may preempt (close an open row
   // and take the bank). Claims are not bus commands, so several banks can
   // start maintenance in one cycle; only a preempting PRE costs the slot.
-  // Maintenance runs before the scheduler round, so it takes the banks
-  // with queued work from its own pass over the key mirror.
-  std::uint64_t queued_banks = 0;
-  for (const std::uint64_t key : streak_key_) {
-    queued_banks |= bank_bit(key_bank(key));
-  }
   bool slot_used = false;
   for (unsigned b = 0; b < cfg_.banks; ++b) {
     if (maint_until_[b] != 0) continue;  // already under maintenance
@@ -423,7 +478,7 @@ bool Controller::tick_maintenance() {
       }
       continue;
     }
-    if (!urg && (queued_banks & bank_bit(b)) != 0) {
+    if (!urg && (queued_banks_ & bank_bit(b)) != 0) {
       continue;  // traffic keeps priority
     }
     if (!bank.can_issue(Command::kMaintStart, cycle_)) continue;  // tRP/tRFC
@@ -444,8 +499,7 @@ bool Controller::tick_maintenance() {
   return slot_used;
 }
 
-std::uint64_t Controller::maintenance_event_bound(
-    std::uint64_t queued_banks) const {
+std::uint64_t Controller::maintenance_event_bound() const {
   std::uint64_t ne = kNeverCycle;
   const auto upd = [&](std::uint64_t c) {
     ne = std::min(ne, std::max(c, cycle_));
@@ -461,7 +515,8 @@ std::uint64_t Controller::maintenance_event_bound(
               ? banks_[b].earliest(Command::kPrecharge)
               : banks_[b].earliest(Command::kMaintStart));
     } else if (hooks_->maintenance_pending(b, cycle_) &&
-               !banks_[b].has_open_row() && ((queued_banks >> b) & 1u) == 0) {
+               !banks_[b].has_open_row() &&
+               (queued_banks_ & bank_bit(b)) == 0) {
       upd(banks_[b].earliest(Command::kMaintStart));
     }
   }
@@ -546,7 +601,7 @@ bool Controller::front_escalated() const {
 void Controller::scheduler_note_pick() const {
   if (cfg_.scheduler == SchedulerKind::kReadFirst) {
     static_cast<const ReadFirstScheduler&>(*scheduler_)
-        .note_writes(queued_writes_);
+        .note_writes(queued_writes());
   }
 }
 
@@ -635,15 +690,15 @@ void Controller::tick() {
   // REF sweep is replaced by maintenance arbitration over idle bank slots.
   if (!(self_managed_ ? tick_maintenance() : tick_refresh())) {
     // 4. Normal scheduling: one command this cycle.
-    std::uint64_t wanted_rows = 0;
-    const std::size_t pick = schedule_round(wanted_rows);
+    const std::size_t pick = schedule_round();
     if (pick == Scheduler::kNone &&
         cfg_.page_policy == PagePolicy::kTimeout) {
       // Idle command slot: close any row that has been open and unused
       // past the timeout. Never preempts real work (pick was kNone), and
       // only closes rows no queued request still wants.
+      const std::uint64_t wanted = wanted_rows();
       for (unsigned b = 0; b < cfg_.banks; ++b) {
-        if (banks_[b].has_open_row() && (wanted_rows & bank_bit(b)) == 0 &&
+        if (banks_[b].has_open_row() && (wanted & bank_bit(b)) == 0 &&
             cycle_ >= last_col_cycle_[b] + cfg_.page_timeout_cycles &&
             banks_[b].can_issue(Command::kPrecharge, cycle_)) {
           banks_[b].issue(Command::kPrecharge, 0, cycle_);
@@ -661,6 +716,7 @@ void Controller::tick() {
       classify(e, bank);
       if (!bank.has_open_row()) {
         bank.issue(Command::kActivate, e.coord.row, cycle_);
+        mark_row_hits(e.coord.bank);
         ++stats_.activations;
         last_act_cycle_ = cycle_;
         any_act_yet_ = true;
@@ -729,31 +785,41 @@ std::uint64_t Controller::next_event_cycle() const {
     }
   }
 
-  // One pass over the key mirror: the minimum bank-local release of each
-  // command class, plus per-bank masks of banks with queued work and of
-  // open rows a queued request still wants. Bank and bus state are frozen
-  // during a skip (no commands issue), so these releases stay valid until
-  // it ends. The bound is conservative: the scheduler may still decline
-  // (e.g. FCFS head-of-line blocking), which only shortens the skip.
+  // The minimum bank-local release of each command class over the queued
+  // banks (an auto-precharging bank contributes its own term below): a
+  // precharged bank has only ACTs queued, an open bank's position mask
+  // splits into row-hit reads, row-hit writes and misses needing a PRE.
+  // Bank and bus state are frozen during a skip (no commands issue), so
+  // these releases stay valid until it ends. The bound is conservative:
+  // the scheduler may still decline (e.g. FCFS head-of-line blocking),
+  // which only shortens the skip.
   std::uint64_t act_rel = kNeverCycle;
   std::uint64_t pre_rel = kNeverCycle;
   std::uint64_t rd_rel = kNeverCycle;
   std::uint64_t wr_rel = kNeverCycle;
-  std::uint64_t queued_banks = 0;
-  std::uint64_t wanted_rows = 0;
-  for (const std::uint64_t key : streak_key_) {
-    const unsigned b = key_bank(key);
+  const std::size_t words = mask_words(queue_.size());
+  for (std::uint64_t m = queued_banks_ & ~autopre_banks_; m != 0;
+       m &= m - 1) {
+    const unsigned b = lowest_bit(m);
     const Bank& bank = banks_[b];
-    queued_banks |= bank_bit(b);
-    const bool row_hit = key_hits(key, bank);
-    if (row_hit) wanted_rows |= bank_bit(b);
-    if ((autopre_banks_ & bank_bit(b)) != 0) continue;  // autopre term below
-    if (row_hit) {
-      std::uint64_t& rel = (key & 1) != 0 ? wr_rel : rd_rel;
-      rel = std::min(rel, bank.earliest(Command::kRead));
-    } else if (!bank.has_open_row()) {
+    if (!bank.has_open_row()) {
       act_rel = std::min(act_rel, bank.earliest(Command::kActivate));
-    } else {
+      continue;
+    }
+    const std::uint64_t* bp = bank_pos(b);
+    std::uint64_t hit_reads = 0;
+    std::uint64_t hit_writes = 0;
+    std::uint64_t misses = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t hit = bp[w] & hit_pos_[w];
+      hit_reads |= hit & ~write_pos_[w];
+      hit_writes |= hit & write_pos_[w];
+      misses |= bp[w] & ~hit_pos_[w];
+    }
+    const std::uint64_t col_rel = bank.earliest(Command::kRead);
+    if (hit_reads != 0) rd_rel = std::min(rd_rel, col_rel);
+    if (hit_writes != 0) wr_rel = std::min(wr_rel, col_rel);
+    if (misses != 0) {
       pre_rel = std::min(pre_rel, bank.earliest(Command::kPrecharge));
     }
   }
@@ -770,11 +836,11 @@ std::uint64_t Controller::next_event_cycle() const {
 
   // Refresh urgency / self-managed maintenance deadlines and claims.
   upd(refresh_.next_urgent_cycle(cycle_));
-  if (self_managed_) upd(maintenance_event_bound(queued_banks));
+  if (self_managed_) upd(maintenance_event_bound());
 
   // Pending hardware auto-precharges.
   for (std::uint64_t m = autopre_banks_; m != 0; m &= m - 1) {
-    const auto b = static_cast<unsigned>(std::countr_zero(m));
+    const unsigned b = lowest_bit(m);
     upd(banks_[b].earliest(Command::kPrecharge));
   }
 
@@ -787,8 +853,9 @@ std::uint64_t Controller::next_event_cycle() const {
   // wants are never closed by this policy, and the queue cannot change
   // during a skip, so they contribute no event.
   if (cfg_.page_policy == PagePolicy::kTimeout) {
+    const std::uint64_t wanted = wanted_rows();
     for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (!banks_[b].has_open_row() || (wanted_rows & bank_bit(b)) != 0) {
+      if (!banks_[b].has_open_row() || (wanted & bank_bit(b)) != 0) {
         continue;
       }
       upd(std::max(last_col_cycle_[b] + cfg_.page_timeout_cycles,
@@ -856,17 +923,24 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
   if (cfg_.powerdown_enabled && (powered_down_ || cycle_ < wake_until_)) {
     return 0;
   }
-  // Branch-light streak probe over the packed SoA mirror: the whole queue
-  // must target one (bank, row, direction).
-  const std::size_t n = queue_.size();
-  const std::uint64_t key = streak_key_[0];
-  std::uint64_t mism = 0;
-  for (std::size_t i = 1; i < n; ++i) mism |= streak_key_[i] ^ key;
-  if (mism != 0) return 0;
-  const unsigned bank = key_bank(key);
-  const bool is_write = (key & 1) != 0;
+  // Streak probe over the position masks: the whole queue must target one
+  // bank, hit its open row, and go in one direction.
+  if (!std::has_single_bit(queued_banks_)) return 0;
+  const unsigned bank = lowest_bit(queued_banks_);
   Bank& bk = banks_[bank];
-  if (!key_hits(key, bk)) return 0;
+  if (!bk.has_open_row()) return 0;
+  const std::uint64_t* bp = bank_pos(bank);  // every queued position
+  const std::size_t words = mask_words(queue_.size());
+  std::uint64_t misses = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    misses |= bp[w] & ~hit_pos_[w];
+    reads |= bp[w] & ~write_pos_[w];
+    writes |= write_pos_[w];
+  }
+  if (misses != 0 || (reads != 0 && writes != 0)) return 0;
+  const bool is_write = writes != 0;
   if (cfg_.page_policy == PagePolicy::kTimeout) {
     // Another bank's idle open row would be closed by the page-timeout
     // sweep mid-stretch; the streak bank's own row is always wanted.
@@ -883,10 +957,8 @@ std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
     const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
     tdm_slot_cycles = tdm.slot_cycles();
     tdm_slots = tdm.num_slots();
-    tdm_cls = streak_client_[0] % tdm_slots;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (streak_client_[i] % tdm_slots != tdm_cls) return 0;
-    }
+    tdm_cls = queue_.front().req.client_id % tdm_slots;
+    if (!std::equal(bp, bp + words, class_pos(tdm_cls))) return 0;
   }
   // Hard ceiling: the first cycle whose tick is NOT pure streak progress.
   // Refresh urgency is constant across the stretch (urgent() batches
@@ -1138,9 +1210,8 @@ void Controller::load(SnapshotReader& r) {
   refresh_.load(r);
 
   queue_.clear();
-  streak_key_.clear();
-  streak_client_.clear();
-  queued_writes_ = 0;
+  std::fill(pos_masks_.begin(), pos_masks_.end(), 0);
+  queued_banks_ = 0;
   const std::size_t queued = r.count();
   if (queued > cfg_.queue_depth) r.fail("queued request count out of range");
   queue_.reserve(queued);

@@ -189,8 +189,8 @@ class Controller {
   /// DramConfig, re-attaches its observers (attach_reliability BEFORE
   /// load, so the attach-derived flags are in place and load then restores
   /// the counters attach reset), and calls load(). Derived state (the
-  /// queue key mirror, write count, in-flight minimum) is recomputed on
-  /// load, not stored.
+  /// queue position masks, in-flight minimum) is recomputed on load, not
+  /// stored.
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
 
@@ -227,9 +227,8 @@ class Controller {
   /// expiries can never wedge the event bound).
   void expire_maintenance_locks();
   /// Maintenance term of the next-event bound (locks, urgent drains,
-  /// idle-slot claims, schedule changes). `queued_banks` has bit b set when
-  /// a queued request targets bank b.
-  std::uint64_t maintenance_event_bound(std::uint64_t queued_banks) const;
+  /// idle-slot claims, schedule changes).
+  std::uint64_t maintenance_event_bound() const;
   /// Any unlocked bank with past-deadline maintenance (power-down gate).
   bool maintenance_any_urgent() const;
   void tick_autoprecharge();
@@ -237,11 +236,14 @@ class Controller {
   /// Retire every in-flight request whose last data beat is done (step 1
   /// of tick(); shared with the burst-issue lite tick).
   void retire_due_inflight();
-  /// One scheduler round: fills masks_ in one pass over the key mirror
-  /// and returns the picked queue index, or Scheduler::kNone. Sets bit b
-  /// of `wanted_rows` when a queued request still wants bank b's open row
-  /// (exact whenever some bank could take a PRE this cycle).
-  std::size_t schedule_round(std::uint64_t& wanted_rows);
+  /// One scheduler round: fills masks_ from the queue position masks with
+  /// one pass per queued bank and returns the picked queue index, or
+  /// Scheduler::kNone.
+  std::size_t schedule_round();
+  /// Bit b set when bank b has an open row that a queued request wants.
+  std::uint64_t wanted_rows() const;
+  /// Write entries in the queue (ReadFirst watermarks).
+  unsigned queued_writes() const;
   /// Devirtualized scheduler dispatch: every policy class is final, so a
   /// switch on the configured kind lets the compiler inline the pick into
   /// the issue path (no vtable load per round).
@@ -264,10 +266,21 @@ class Controller {
   std::uint64_t issue_burst(std::uint64_t target_cycle,
                             bool stop_after_event = false);
 
-  /// Append `e` to queue_ and its key mirror entries.
+  /// Append `e` to queue_ and set its bits in the position masks.
   void push_queue_entry(const QueueEntry& e);
-  /// Remove queue_[pos] and its key mirror entries.
+  /// Remove queue_[pos] and its bit from every position mask.
   void erase_queue_entry(std::size_t pos);
+  /// Re-derive the hit bits of bank `b`'s queued entries against the row
+  /// an ACT just opened.
+  void mark_row_hits(unsigned b);
+  std::uint64_t* bank_pos(unsigned b) const {
+    return bank_pos_ + b * mask_words_;
+  }
+  std::uint64_t* class_pos(unsigned cls) const {
+    return class_pos_ + cls * mask_words_;
+  }
+
+  friend struct ControllerTestAccess;  // test-only mask inspection
 
   DramConfig cfg_;
   AddressMapper mapper_;
@@ -281,21 +294,33 @@ class Controller {
   std::vector<InFlight> inflight_;
   std::vector<Request> completed_;
   RoundMasks masks_;  // scratch, refilled each scheduler round
-  std::vector<std::uint64_t> open_row_key_;  // scratch, per bank, ditto
 
   // Derived minimum that keeps the common quiet-cycle check O(1).
   std::uint64_t inflight_min_done_ = kNeverCycle;
 
   bool burst_issue_ = true;  // see docs/performance.md, "Dense traffic"
 
-  // SoA mirror of the queue: one packed (bank, row, direction) key and one
-  // client id per entry, maintained on enqueue / erase / load alongside
-  // queue_. The scheduler round, the next-event bound and the burst-issue
-  // streak probe read these instead of the queue entries.
-  std::vector<std::uint64_t> streak_key_;   // (bank << 33) | (row << 1) | w
-  std::vector<std::uint32_t> streak_client_;
-  unsigned queued_writes_ = 0;  ///< write entries in queue_ (counter, so
-                                ///< the hysteresis note needs no rescan)
+  // Derived queue state as bitmasks over queue positions: bit i of word
+  // i / 64 describes queue_[i], mask_words_ words per mask so any
+  // queue_depth fits, and bits at and past queue_.size() are clear. Only
+  // push_queue_entry, erase_queue_entry and an ACT (mark_row_hits) change
+  // them; load() rebuilds them through push. The scheduler round, the
+  // next-event bound, maintenance and the burst-issue streak probe read
+  // these instead of walking the queue.
+  std::size_t mask_words_ = 1;
+  // One allocation holds every mask; the pointers below index into it and
+  // stay valid because a Controller is neither copied nor moved.
+  std::vector<std::uint64_t> pos_masks_;
+  std::uint64_t* write_pos_ = nullptr;    ///< write entries
+  /// Entries whose row is their bank's open row as of that bank's last
+  /// ACT. Stale for a precharged bank, so readers AND it with the
+  /// positions of open banks (PRE and REF leave it alone).
+  std::uint64_t* hit_pos_ = nullptr;
+  std::uint64_t* bank_pos_ = nullptr;  ///< per bank: its entries
+  /// Per TDM slot class (client_id % tdm_clients): its entries.
+  std::uint64_t* class_pos_ = nullptr;
+  unsigned tdm_classes_ = 0;  ///< class masks (tdm_clients under kTdm, else 0)
+  std::uint64_t queued_banks_ = 0;  ///< bit b: bank b has queued work
 
   std::uint64_t cycle_ = 0;
   std::uint64_t next_id_ = 0;

@@ -162,28 +162,30 @@ void MaintenanceEngine::rebuild_bins(const FaultInjector& injector) {
       st.next_due = 1 + (b * 131ull + i * 37ull) % st.period;
     }
   }
+  earliest_due_.assign(banks_, dram::kNeverCycle);
+  for (unsigned b = 0; b < banks_; ++b) update_earliest_due(b);
+}
+
+void MaintenanceEngine::update_earliest_due(unsigned bank) {
+  std::uint64_t due = dram::kNeverCycle;
+  for (unsigned i = 0; i < cfg_.bins; ++i) {
+    due = std::min(due, bin_state_[bin_index(bank, i)].next_due);
+  }
+  earliest_due_[bank] = due;
 }
 
 bool MaintenanceEngine::pending(unsigned bank, std::uint64_t cycle) const {
   if (bank_dropped_[bank]) return false;
   if (!neighbor_q_[bank].empty()) return true;
-  for (unsigned i = 0; i < cfg_.bins; ++i) {
-    const BinState& st = bin_state_[bin_index(bank, i)];
-    if (st.next_due != dram::kNeverCycle && st.next_due <= cycle) return true;
-  }
-  return false;
+  const std::uint64_t due = earliest_due_[bank];
+  return due != dram::kNeverCycle && due <= cycle;
 }
 
 bool MaintenanceEngine::urgent(unsigned bank, std::uint64_t cycle) const {
   if (bank_dropped_[bank]) return false;
   if (!neighbor_q_[bank].empty()) return true;
-  for (unsigned i = 0; i < cfg_.bins; ++i) {
-    const BinState& st = bin_state_[bin_index(bank, i)];
-    if (st.next_due != dram::kNeverCycle && st.next_due + slack_ <= cycle) {
-      return true;
-    }
-  }
-  return false;
+  const std::uint64_t due = earliest_due_[bank];
+  return due != dram::kNeverCycle && due + slack_ <= cycle;
 }
 
 std::uint64_t MaintenanceEngine::next_cycle(std::uint64_t now) const {
@@ -244,6 +246,7 @@ MaintenanceEngine::Claim MaintenanceEngine::claim(unsigned bank,
     // Fixed cadence: overload shows up as lag (urgency), not as a
     // silently stretched window.
     st.next_due += st.period;
+    update_earliest_due(bank);
   }
   c.duration = static_cast<unsigned>(
       std::max<std::size_t>(1, c.rows.size()) * row_cycles_);
@@ -326,6 +329,7 @@ void MaintenanceEngine::load(SnapshotReader& r) {
   }
   for (unsigned b = 0; b < banks_; ++b) {
     bank_dropped_[b] = r.boolean();
+    update_earliest_due(b);
   }
 }
 
@@ -336,6 +340,7 @@ void MaintenanceEngine::drop_bank(unsigned bank) {
   for (unsigned i = 0; i < cfg_.bins; ++i) {
     bin_state_[bin_index(bank, i)].next_due = dram::kNeverCycle;
   }
+  earliest_due_[bank] = dram::kNeverCycle;
 }
 
 }  // namespace edsim::reliability

@@ -141,6 +141,10 @@ class MaintenanceEngine {
     return row_bin_[static_cast<std::size_t>(bank) * rows_ + row];
   }
   std::uint64_t bin_window(unsigned bin) const { return windows_[bin]; }
+  /// Due cycle of the bin's next sweep op (kNeverCycle: none scheduled).
+  std::uint64_t bin_due(unsigned bank, unsigned bin) const {
+    return bin_state_[bin_index(bank, bin)].next_due;
+  }
   std::uint64_t base_window() const { return windows_.front(); }
   std::uint64_t slack() const { return slack_; }
   const HammerTracker& tracker(unsigned bank) const {
@@ -165,6 +169,8 @@ class MaintenanceEngine {
   std::size_t bin_index(unsigned bank, unsigned bin) const {
     return static_cast<std::size_t>(bank) * cfg_.bins + bin;
   }
+  /// Recompute earliest_due_[bank] from the bank's bins.
+  void update_earliest_due(unsigned bank);
 
   MaintenanceConfig cfg_;
   unsigned banks_;
@@ -175,6 +181,9 @@ class MaintenanceEngine {
   std::vector<std::uint64_t> windows_;   ///< per bin, cycles
   std::vector<std::uint8_t> row_bin_;    ///< per (bank, row)
   std::vector<BinState> bin_state_;      ///< banks x bins
+  /// Per bank: the earliest next_due over its bins, so pending() and
+  /// urgent() need no bin loop. Refreshed wherever a next_due changes.
+  std::vector<std::uint64_t> earliest_due_;
   std::vector<HammerTracker> trackers_;  ///< per bank
   std::vector<std::uint64_t> tracker_epoch_;       ///< per bank
   std::vector<std::deque<unsigned>> neighbor_q_;   ///< aggressors, FIFO

@@ -4,11 +4,14 @@
 // reference pick returns a position in that list. `masks_of` turns the
 // same list into the `RoundMasks` the library policies read, so a test can
 // state a round once and check the mask pick against the loop.
+// `queue_masks_of` builds the controller's maintained queue position masks
+// from scratch, for the invariant check against the incremental ones.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -137,6 +140,54 @@ std::size_t pick(const Policy& s, const std::vector<Candidate>& cs,
   } else {
     return s.pick(masks_of(cs), oldest_wait);
   }
+}
+
+/// One queued request as the controller's position masks describe it.
+struct QueuedRequest {
+  unsigned bank = 0;
+  unsigned row = 0;
+  bool is_write = false;
+  unsigned client_id = 0;
+};
+
+/// The controller's derived queue state: bitmasks over queue positions,
+/// bit i of word i / 64 describing queue entry i, `words` words each.
+struct QueueMasks {
+  std::vector<std::vector<std::uint64_t>> bank;  ///< per bank: its entries
+  std::vector<std::uint64_t> write;              ///< write entries
+  /// Entries whose bank is open on their row, plus any stray bit past the
+  /// queue (hit bits of precharged banks are allowed to be stale).
+  std::vector<std::uint64_t> row_hit;
+  std::vector<std::vector<std::uint64_t>> tdm_class;  ///< per slot class
+  std::uint64_t queued_banks = 0;  ///< bit b: bank b has queued work
+
+  bool operator==(const QueueMasks&) const = default;
+};
+
+/// QueueMasks of `queue` (age order), built from scratch in one pass.
+/// `open_row[b]` is bank b's open row, empty when it is precharged;
+/// `tdm_classes` is the TDM slot count, 0 for the other policies.
+inline QueueMasks queue_masks_of(
+    const std::vector<QueuedRequest>& queue,
+    const std::vector<std::optional<unsigned>>& open_row,
+    unsigned tdm_classes, std::size_t words) {
+  QueueMasks m;
+  const std::vector<std::uint64_t> zero(words, 0);
+  m.bank.assign(open_row.size(), zero);
+  m.write = zero;
+  m.row_hit = zero;
+  m.tdm_class.assign(tdm_classes, zero);
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const QueuedRequest& q = queue[i];
+    const std::size_t w = i / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    m.bank[q.bank][w] |= bit;
+    m.queued_banks |= std::uint64_t{1} << q.bank;
+    if (q.is_write) m.write[w] |= bit;
+    if (open_row[q.bank] == q.row) m.row_hit[w] |= bit;
+    if (tdm_classes != 0) m.tdm_class[q.client_id % tdm_classes][w] |= bit;
+  }
+  return m;
 }
 
 }  // namespace edsim::dram::reference

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "dram/address_map.hpp"
 #include "dram/command_log.hpp"
 #include "dram/controller.hpp"
@@ -231,6 +234,107 @@ TEST(MaintenanceEngine, NextCycleBoundsTheSchedule) {
   ASSERT_EQ(c.rows.size(), 2u);
   EXPECT_EQ(c.rows[0], 9u);
   EXPECT_EQ(c.rows[1], 11u);
+}
+
+// The per-bin loops pending(), urgent() and next_cycle() ran before the
+// engine cached each bank's earliest due bin. With the RowHammer defense
+// off the neighbor queues stay empty, so the bin due cycles alone decide.
+bool loop_pending(const MaintenanceEngine& e, unsigned bank,
+                  std::uint64_t cycle) {
+  for (unsigned i = 0; i < e.bins(); ++i) {
+    const std::uint64_t due = e.bin_due(bank, i);
+    if (due != dram::kNeverCycle && due <= cycle) return true;
+  }
+  return false;
+}
+
+bool loop_urgent(const MaintenanceEngine& e, unsigned bank,
+                 std::uint64_t cycle) {
+  for (unsigned i = 0; i < e.bins(); ++i) {
+    const std::uint64_t due = e.bin_due(bank, i);
+    if (due != dram::kNeverCycle && due + e.slack() <= cycle) return true;
+  }
+  return false;
+}
+
+std::uint64_t loop_next_cycle(const MaintenanceEngine& e, unsigned banks,
+                              std::uint64_t now) {
+  std::uint64_t ne = dram::kNeverCycle;
+  for (unsigned b = 0; b < banks; ++b) {
+    for (unsigned i = 0; i < e.bins(); ++i) {
+      const std::uint64_t due = e.bin_due(b, i);
+      if (due == dram::kNeverCycle) continue;
+      ne = std::min(ne, due > now ? due : std::max(now, due + e.slack()));
+    }
+  }
+  return ne;
+}
+
+TEST(MaintenanceEngine, EarliestDueCacheMatchesTheBinLoops) {
+  const DramConfig cfg = small_cfg();
+  FaultInjectorConfig icfg;
+  icfg.seed = 5;
+  icfg.weak_cells = 12;
+  const FaultInjector injector(cfg, icfg);
+  icfg.seed = 6;
+  icfg.weak_cells = 30;
+  const FaultInjector rebinned(cfg, icfg);
+
+  MaintenanceConfig mc;
+  mc.enabled = true;
+  mc.bins = 3;
+  mc.base_window_cycles = 3'000;
+  mc.rows_per_op = 8;
+  mc.op_slack_cycles = 150;
+  auto engine = std::make_unique<MaintenanceEngine>(cfg, mc, injector);
+
+  Rng rng(17);
+  std::uint64_t cycle = 0;
+  std::uint64_t claims = 0;
+  std::uint64_t urgent_seen = 0;
+  const auto check = [&](const char* phase) {
+    SCOPED_TRACE(std::string(phase) + " at cycle " + std::to_string(cycle));
+    for (unsigned b = 0; b < cfg.banks; ++b) {
+      ASSERT_EQ(engine->pending(b, cycle), loop_pending(*engine, b, cycle))
+          << "bank " << b;
+      ASSERT_EQ(engine->urgent(b, cycle), loop_urgent(*engine, b, cycle))
+          << "bank " << b;
+      if (engine->urgent(b, cycle)) ++urgent_seen;
+    }
+    ASSERT_EQ(engine->next_cycle(cycle),
+              loop_next_cycle(*engine, cfg.banks, cycle));
+  };
+  // Random strides with lazy claiming, so bins fall due, turn urgent and
+  // get claimed out of order; the bank drop, the rebinning and the
+  // snapshot round trip each land mid-schedule.
+  for (int step = 0; step < 4'000; ++step) {
+    cycle += rng.next_below(40);
+    check("step");
+    const auto b = static_cast<unsigned>(rng.next_below(cfg.banks));
+    if (rng.next_bool(0.5) && engine->pending(b, cycle)) {
+      engine->claim(b, cycle);
+      ++claims;
+      check("claim");
+    }
+    if (step == 1'000) {
+      engine->drop_bank(2);
+      check("drop_bank");
+    } else if (step == 2'000) {
+      engine->rebuild_bins(rebinned);
+      check("rebuild_bins");
+    } else if (step == 3'000) {
+      SnapshotWriter w;
+      engine->save(w);
+      const std::vector<std::uint8_t> blob = w.seal();
+      engine = std::make_unique<MaintenanceEngine>(cfg, mc, injector);
+      SnapshotReader r(blob);
+      engine->load(r);
+      r.expect_end();
+      check("load");
+    }
+  }
+  EXPECT_GT(claims, 100u);
+  EXPECT_GT(urgent_seen, 100u);
 }
 
 // ---------------------------------------------------------------------------

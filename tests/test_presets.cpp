@@ -68,6 +68,16 @@ TEST(DramConfig, ValidationCatchesBadGeometry) {
   c = presets::sdram_pc100_64mbit();
   c.queue_depth = 0;
   EXPECT_THROW(c.validate(), ConfigError);
+  c.queue_depth = 4096;
+  EXPECT_NO_THROW(c.validate());
+  c.queue_depth = 4097;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = presets::sdram_pc100_64mbit();
+  c.scheduler = SchedulerKind::kTdm;
+  c.tdm_clients = 1024;
+  EXPECT_NO_THROW(c.validate());
+  c.tdm_clients = 1025;
+  EXPECT_THROW(c.validate(), ConfigError);
 }
 
 TEST(DramConfig, DerivedQuantities) {

@@ -4,13 +4,64 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
+#include "dram/controller.hpp"
+#include "dram/presets.hpp"
+#include "dram/reliability_hooks.hpp"
 #include "dram/request.hpp"
 #include "scheduler_reference.hpp"
 
 namespace edsim::dram {
+
+/// Test-only friend of Controller: reads its queue and its maintained
+/// queue position masks.
+struct ControllerTestAccess {
+  static std::vector<reference::QueuedRequest> queue(const Controller& c) {
+    std::vector<reference::QueuedRequest> out;
+    for (const auto& e : c.queue_) {
+      out.push_back({e.coord.bank, e.coord.row,
+                     e.req.type == AccessType::kWrite, e.req.client_id});
+    }
+    return out;
+  }
+
+  static std::vector<std::optional<unsigned>> open_rows(const Controller& c) {
+    std::vector<std::optional<unsigned>> out;
+    for (const Bank& b : c.banks_) {
+      out.push_back(b.has_open_row() ? std::optional(b.open_row())
+                                     : std::nullopt);
+    }
+    return out;
+  }
+
+  static std::size_t words(const Controller& c) { return c.mask_words_; }
+
+  static reference::QueueMasks masks(const Controller& c) {
+    const std::size_t words = c.mask_words_;
+    reference::QueueMasks m;
+    std::vector<std::uint64_t> closed(words, 0);
+    for (unsigned b = 0; b < c.cfg_.banks; ++b) {
+      m.bank.emplace_back(c.bank_pos(b), c.bank_pos(b) + words);
+      if (c.banks_[b].has_open_row()) continue;
+      for (std::size_t w = 0; w < words; ++w) closed[w] |= c.bank_pos(b)[w];
+    }
+    m.write.assign(c.write_pos_, c.write_pos_ + words);
+    m.row_hit.assign(c.hit_pos_, c.hit_pos_ + words);
+    for (std::size_t w = 0; w < words; ++w) m.row_hit[w] &= ~closed[w];
+    for (unsigned cls = 0; cls < c.tdm_classes_; ++cls) {
+      m.tdm_class.emplace_back(c.class_pos(cls), c.class_pos(cls) + words);
+    }
+    m.queued_banks = c.queued_banks_;
+    return m;
+  }
+};
+
 namespace {
 
 using reference::Candidate;
@@ -268,6 +319,135 @@ TEST(SchedulerMasks, ReadFirstSequencesMatchReference) {
                    << "depth " << depth << " round " << round);
       EXPECT_EQ(pick(s, cs, 0, wait), ref.pick(cs, wait));
       EXPECT_EQ(s.draining(), ref.draining);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Controller queue position masks: the masks the controller maintains
+// incrementally (push, erase with carry across words, ACT re-marking its
+// bank's hit bits) must equal a from-scratch build after every enqueue,
+// every advance and every snapshot restore.
+
+/// Reliability hooks that only retire one bank, so enqueues steer around it.
+class RetiredBankHooks final : public ReliabilityHooks {
+ public:
+  explicit RetiredBankHooks(unsigned bank) : bank_(bank) {}
+  void on_cycle(std::uint64_t) override {}
+  AccessOutcome on_access(const Coordinates&, AccessType,
+                          std::uint64_t) override {
+    return AccessOutcome::kClean;
+  }
+  void on_refresh(std::uint64_t) override {}
+  bool bank_retired(unsigned bank) const override { return bank == bank_; }
+  const ReliabilityCounters& counters() const override { return counters_; }
+
+ private:
+  unsigned bank_;
+  ReliabilityCounters counters_;
+};
+
+bool masks_match(const Controller& c, const std::string& after) {
+  const reference::QueueMasks want = reference::queue_masks_of(
+      ControllerTestAccess::queue(c), ControllerTestAccess::open_rows(c),
+      c.config().scheduler == SchedulerKind::kTdm ? c.config().tdm_clients : 0,
+      ControllerTestAccess::words(c));
+  const bool same = ControllerTestAccess::masks(c) == want;
+  EXPECT_TRUE(same) << "queue masks diverge after " << after << " at cycle "
+                    << c.cycle() << " with " << c.queue_size() << " queued";
+  return same;
+}
+
+TEST(SchedulerMasks, ControllerMasksMatchFromScratch) {
+  constexpr std::uint64_t kWindow = 1'500;
+  unsigned trial = 0;
+  for (const unsigned depth : {1u, 31u, 32u, 63u, 64u, 65u, 128u, 512u}) {
+    for (const auto kind : {SchedulerKind::kFcfs, SchedulerKind::kFcfsPerBank,
+                            SchedulerKind::kFrFcfs, SchedulerKind::kReadFirst,
+                            SchedulerKind::kTdm}) {
+      for (const auto page : {PagePolicy::kOpen, PagePolicy::kClosed,
+                              PagePolicy::kTimeout}) {
+        // Rotate the extras: plain, watchdog escalations, or a retired
+        // bank that enqueues steer around.
+        const unsigned variant = trial++ % 3;
+        DramConfig cfg = presets::edram_module(16, 64, 8, 2048);
+        cfg.queue_depth = depth;
+        cfg.scheduler = kind;
+        cfg.page_policy = page;
+        cfg.page_timeout_cycles = 32;
+        cfg.tdm_slot_cycles = 24;
+        cfg.tdm_clients = 3;
+        if (variant == 1) {
+          cfg.watchdog_enabled = true;
+          cfg.watchdog_cycles = 200;
+          cfg.watchdog_retries = 1'000;
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial) + " depth " +
+                     std::to_string(depth) + " variant " +
+                     std::to_string(variant));
+        RetiredBankHooks hooks(3);
+        const auto make = [&] {
+          auto c = std::make_unique<Controller>(cfg);
+          if (variant == 2) c->attach_reliability(&hooks);
+          return c;
+        };
+        auto ctl = make();
+        Rng rng(1'000 + trial);
+        const std::uint64_t beats =
+            cfg.capacity().byte_count() / cfg.bytes_per_access();
+        std::uint64_t beat = 0;
+        std::vector<Request> sink;
+        std::uint64_t next_restore = 200;
+        while (ctl->cycle() < kWindow) {
+          if (rng.next_bool(0.3)) {
+            const std::uint64_t burst = 1 + rng.next_below(depth);
+            for (std::uint64_t i = 0; i < burst && !ctl->queue_full(); ++i) {
+              beat = rng.next_bool(0.6) ? (beat + 1) % beats
+                                        : rng.next_below(beats);
+              Request r;
+              r.addr = beat * cfg.bytes_per_access();
+              r.type = rng.next_bool(0.3) ? AccessType::kWrite
+                                          : AccessType::kRead;
+              r.client_id = static_cast<unsigned>(rng.next_below(6));
+              ctl->enqueue(r);
+              if (!masks_match(*ctl, "enqueue")) return;
+            }
+          }
+          // Per-cycle ticks, fast-forward (burst issue included) and the
+          // dense drive each erase entries on their own paths.
+          const std::uint64_t stop = ctl->cycle() + 1 + rng.next_below(64);
+          switch (rng.next_below(3)) {
+            case 0:
+              while (ctl->cycle() < stop) {
+                ctl->tick();
+                if (!masks_match(*ctl, "tick")) return;
+              }
+              break;
+            case 1:
+              ctl->tick_until(stop);
+              if (!masks_match(*ctl, "tick_until")) return;
+              break;
+            default:
+              ctl->dense_advance(stop);
+              if (!masks_match(*ctl, "dense_advance")) return;
+              break;
+          }
+          ctl->drain_completed_into(sink);
+          if (ctl->cycle() >= next_restore) {
+            next_restore += 200 + rng.next_below(200);
+            SnapshotWriter w;
+            ctl->save(w);
+            const std::vector<std::uint8_t> blob = w.seal();
+            ctl = make();
+            SnapshotReader r(blob);
+            ctl->load(r);
+            r.expect_end();
+            if (!masks_match(*ctl, "snapshot restore")) return;
+          }
+        }
+        EXPECT_GT(ctl->stats().reads + ctl->stats().writes, 0u);
+        if (variant == 2) EXPECT_GT(ctl->stats().redirected_requests, 0u);
+      }
     }
   }
 }

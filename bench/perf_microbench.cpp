@@ -165,13 +165,15 @@ void BM_IdleHeavyFastForward(benchmark::State& state) {
 }
 BENCHMARK(BM_IdleHeavyFastForward)->Unit(benchmark::kMillisecond);
 
-// --- dense-traffic burst issue: before/after pairs -------------------------
+// --- dense-traffic stretch: before/after pairs -----------------------------
 // The saturated-channel shape: 100%-duty demand keeps the controller
 // queue full with single-bank row-hit streaks — the opposite regime from
-// the idle-heavy pair above. "Baseline" steps every DRAM clock through
-// the dense stretch; "Burst" proves the steady state and retires the
-// issue sequence in closed form (bit-identical stats, command log and
-// telemetry — the differential fuzz enforces it).
+// the idle-heavy pair above. "Baseline" steps the front end every DRAM
+// clock; "Burst" runs MemorySystem's dense stretch, which credits the
+// stall/sample-only front-end cycles in bulk while the controller ticks
+// to its next front-end-visible event (bit-identical stats, command log
+// and telemetry — the differential fuzz enforces it). The controller
+// itself runs a full scheduler round at every command either way.
 
 constexpr std::uint64_t kDenseWindow = 400'000;
 
@@ -207,8 +209,7 @@ void BM_SaturatedStreamBurst(benchmark::State& state) {
 BENCHMARK(BM_SaturatedStreamBurst)->Unit(benchmark::kMillisecond);
 
 // Row-major sweep over a multi-row surface in one bank: hit streaks the
-// length of a row, broken by an activate at every row boundary — the
-// burst path re-proves the steady state after each miss.
+// length of a row, broken by an activate at every row boundary.
 std::uint64_t run_strided_sweep(bool burst) {
   dram::DramConfig cfg = dram::presets::edram_module(16, 128, 4, 2048);
   cfg.mapping = dram::AddressMapping::kBankRowCol;  // surface in one bank

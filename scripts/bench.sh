@@ -5,13 +5,14 @@
 # before/after pairs — per-cycle vs fast-forward system runs, serial vs
 # pooled sweeps, regenerated vs arena-replayed workloads, cold vs memoized
 # evaluation, uniform-tREFI vs self-managed maintenance, per-cycle vs
-# burst-issue dense traffic — so one file holds both sides of each
-# comparison, plus the per-scheduler-policy runs whose counters pair the
-# simulated bandwidth/latency with the analytical WCET bound. The context
-# section also records the source size (lines of src/ and of the channel
-# controller), so every snapshot pairs its timings with the code that
-# produced them, and the CPUs available to the run (nproc), which the
-# real-time multi-threaded and multi-process benchmarks depend on.
+# dense-stretch front end under saturated traffic — so one file holds
+# both sides of each comparison, plus the per-scheduler-policy runs whose
+# counters pair the simulated bandwidth/latency with the analytical WCET
+# bound. The context section also records the source size (lines of src/
+# and of the channel controller), so every snapshot pairs its timings
+# with the code that produced them, and the CPUs available to the run
+# (nproc), which the real-time multi-threaded and multi-process
+# benchmarks depend on.
 #
 # Build-type provenance: the "library_build_type" field google-benchmark
 # writes into the JSON context describes the SYSTEM-PACKAGED harness
@@ -44,8 +45,8 @@ warm-up fan-out (checkpoint restore)|BM_SweepColdWarmup|BM_SweepCheckpointFanout
 sampled simulation (SMARTS windows)|BM_FullRun|BM_SampledRun
 cross-process sweep (persistent result store)|BM_SweepColdStore|BM_SweepWarmStore
 batch evaluation (4 forked workers)|BM_BatchSerial|BM_BatchSharded/4
-saturated stream (burst issue)|BM_SaturatedStreamBaseline|BM_SaturatedStreamBurst
-strided sweep (burst issue)|BM_StridedSweepBaseline|BM_StridedSweepBurst
+saturated stream (dense stretch)|BM_SaturatedStreamBaseline|BM_SaturatedStreamBurst
+strided sweep (dense stretch)|BM_StridedSweepBaseline|BM_StridedSweepBurst
 PAIRS
 }
 

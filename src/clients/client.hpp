@@ -26,6 +26,16 @@ struct ClientStats {
   double mean_latency() const { return latency.mean(); }
   double p99_latency() const { return latency_samples.percentile(0.99); }
 
+  /// Credit one completed request: count, error flags and latency. Every
+  /// front end calls this per delivered completion.
+  void record_completion(const dram::Request& r) {
+    completed++;
+    if (r.ecc_corrected) corrected_errors++;
+    if (r.data_error) data_errors++;
+    latency.add(static_cast<double>(r.latency()));
+    latency_samples.add(static_cast<double>(r.latency()));
+  }
+
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
 };

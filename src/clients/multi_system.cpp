@@ -31,9 +31,7 @@ void MultiChannelSystem::step() {
   memory_.drain_completed_into(completed_scratch_);
   for (const dram::Request& r : completed_scratch_) {
     const std::size_t i = r.client_id;
-    stats_[i].completed++;
-    stats_[i].latency.add(static_cast<double>(r.latency()));
-    stats_[i].latency_samples.add(static_cast<double>(r.latency()));
+    stats_[i].record_completion(r);
     fifos_[i].on_complete();
     clients_[i]->notify_complete(r, cycle_);
   }

@@ -22,11 +22,7 @@ void MemorySystem::deliver_completions(std::uint64_t cycle) {
   controller_.drain_completed_into(completed_scratch_);
   for (const dram::Request& r : completed_scratch_) {
     const std::size_t i = r.client_id;
-    stats_[i].completed++;
-    if (r.ecc_corrected) stats_[i].corrected_errors++;
-    if (r.data_error) stats_[i].data_errors++;
-    stats_[i].latency.add(static_cast<double>(r.latency()));
-    stats_[i].latency_samples.add(static_cast<double>(r.latency()));
+    stats_[i].record_completion(r);
     fifos_[i].on_complete();
     if (outstanding_[i] > 0) --outstanding_[i];
     clients_[i]->notify_complete(r, cycle);
@@ -211,38 +207,38 @@ void MemorySystem::dense_stretch(std::uint64_t end) {
   }
 }
 
-void MemorySystem::run(std::uint64_t cycles) {
-  const std::uint64_t end = controller_.cycle() + cycles;
-  while (controller_.cycle() < end) {
-    step();
-    if (fast_forward_) skip_quiet_stretch(end);
-    if (burst_issue_) dense_stretch(end);
-  }
+bool MemorySystem::all_done() const {
+  bool done = controller_.idle();
+  for (const auto& c : clients_) done = done && c->finished();
+  return done;
 }
 
-void MemorySystem::run_to_completion(std::uint64_t max_cycles) {
-  const std::uint64_t limit = controller_.cycle() + max_cycles;
-  const auto all_done = [&] {
-    bool done = controller_.idle();
-    for (const auto& c : clients_) done = done && c->finished();
-    return done;
-  };
-  while (controller_.cycle() < limit) {
-    if (all_done()) {
+bool MemorySystem::run_until(std::uint64_t end, bool until_done) {
+  while (controller_.cycle() < end) {
+    if (until_done && all_done()) {
       // One more step to deliver completions retired on the final tick.
       step();
-      return;
+      return true;
     }
     step();
     // The done flag cannot change inside a quiet stretch (no issues, no
-    // retirements), but skipping past the step() that first observes it
-    // would shift the final cycle — so never skip once done.
-    if (fast_forward_ && !all_done()) skip_quiet_stretch(limit);
-    // A dense stretch needs a full queue, which a finished system cannot
-    // have — the guard only mirrors the fast-forward one above.
-    if (burst_issue_ && !all_done()) dense_stretch(limit);
+    // retirements), and a dense stretch needs a full queue, which a done
+    // system cannot have. But skipping past the step() that first
+    // observes it would shift the final cycle — so never skip once done.
+    if (until_done && all_done()) continue;
+    if (fast_forward_) skip_quiet_stretch(end);
+    if (burst_issue_) dense_stretch(end);
   }
-  require(false, "memory system: run_to_completion hit the cycle bound");
+  return false;
+}
+
+void MemorySystem::run(std::uint64_t cycles) {
+  run_until(controller_.cycle() + cycles, /*until_done=*/false);
+}
+
+void MemorySystem::run_to_completion(std::uint64_t max_cycles) {
+  require(run_until(controller_.cycle() + max_cycles, /*until_done=*/true),
+          "memory system: run_to_completion hit the cycle bound");
 }
 
 void MemorySystem::save(SnapshotWriter& w) const {

@@ -46,17 +46,15 @@ class MemorySystem {
   /// for the equivalence tests and for debugging with per-cycle traces.
   void set_fast_forward(bool on) { fast_forward_ = on; }
 
-  /// Disable/enable the dense-traffic burst path (on by default): when the
+  /// Disable/enable the dense-traffic stretch (on by default): when the
   /// controller queue is full and every ready client promises persistent
   /// demand (pending_run_length), front-end steps between controller
   /// events are pure stall/sample bookkeeping and are credited in bulk
-  /// while the controller advances via its own burst-issue fast path.
-  /// Bit-identical to per-cycle stepping; off is the differential
-  /// reference for the equivalence and fuzz suites.
-  void set_burst_issue(bool on) {
-    burst_issue_ = on;
-    controller_.set_burst_issue(on);
-  }
+  /// while the controller advances to its next front-end-visible event
+  /// (dram::Controller::dense_advance). Bit-identical to per-cycle
+  /// stepping; off is the differential reference for the equivalence and
+  /// fuzz suites.
+  void set_burst_issue(bool on) { burst_issue_ = on; }
   bool burst_issue() const { return burst_issue_; }
 
   /// Attach observability probes to the channel (nullptr detaches); see
@@ -108,6 +106,14 @@ class MemorySystem {
 
  private:
   void step();
+  /// The loop behind run and run_to_completion: step, then let the fast
+  /// paths skip ahead, until `end`. With `until_done` it also returns
+  /// (true) after the step that follows the first done observation, which
+  /// delivers the final tick's completions, and never skips once done.
+  /// Returns false when `end` comes first.
+  bool run_until(std::uint64_t end, bool until_done);
+  /// Every client finished and the channel idle.
+  bool all_done() const;
   /// step()'s delivery block, shared with dense_stretch: drain retired
   /// requests and credit each to its client at `cycle`.
   void deliver_completions(std::uint64_t cycle);

@@ -910,159 +910,36 @@ void Controller::advance_idle(std::uint64_t count) {
   EDSIM_TELEMETRY(telemetry_, on_bulk_advance(from, tick_sample(), stats_));
 }
 
-std::uint64_t Controller::issue_burst(std::uint64_t target_cycle,
-                                      bool stop_after_event) {
-  // Eligibility gates: any condition that could make a cycle in the
-  // stretch do something other than {quiet bookkeeping, a row-hit column
-  // issue to the streak bank, an in-flight retirement} falls back to the
-  // fully general tick() path. Reliability hooks observe every cycle and
-  // can mutate the stream, so their presence disables the path outright.
-  if (!burst_issue_ || hooks_ != nullptr || queue_.empty()) return 0;
-  if (cfg_.page_policy == PagePolicy::kClosed) return 0;
-  if (autopre_banks_ != 0 || refresh_draining_) return 0;
-  if (cfg_.powerdown_enabled && (powered_down_ || cycle_ < wake_until_)) {
-    return 0;
-  }
-  // Streak probe over the position masks: the whole queue must target one
-  // bank, hit its open row, and go in one direction.
-  if (!std::has_single_bit(queued_banks_)) return 0;
-  const unsigned bank = lowest_bit(queued_banks_);
-  Bank& bk = banks_[bank];
-  if (!bk.has_open_row()) return 0;
-  const std::uint64_t* bp = bank_pos(bank);  // every queued position
-  const std::size_t words = mask_words(queue_.size());
-  std::uint64_t misses = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    misses |= bp[w] & ~hit_pos_[w];
-    reads |= bp[w] & ~write_pos_[w];
-    writes |= write_pos_[w];
-  }
-  if (misses != 0 || (reads != 0 && writes != 0)) return 0;
-  const bool is_write = writes != 0;
-  if (cfg_.page_policy == PagePolicy::kTimeout) {
-    // Another bank's idle open row would be closed by the page-timeout
-    // sweep mid-stretch; the streak bank's own row is always wanted.
-    for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (b != bank && banks_[b].has_open_row()) return 0;
-    }
-  }
-  // TDM: the streak must belong to one slot class, and issue cycles snap
-  // forward to that class's slots.
-  unsigned tdm_slot_cycles = 0;
-  unsigned tdm_slots = 0;
-  unsigned tdm_cls = 0;
-  if (cfg_.scheduler == SchedulerKind::kTdm) {
-    const auto& tdm = static_cast<const TdmScheduler&>(*scheduler_);
-    tdm_slot_cycles = tdm.slot_cycles();
-    tdm_slots = tdm.num_slots();
-    tdm_cls = queue_.front().req.client_id % tdm_slots;
-    if (!std::equal(bp, bp + words, class_pos(tdm_cls))) return 0;
-  }
-  // Hard ceiling: the first cycle whose tick is NOT pure streak progress.
-  // Refresh urgency is constant across the stretch (urgent() batches
-  // lazily and next_due_ cannot move before it first fires).
-  std::uint64_t limit = target_cycle;
-  if (cfg_.refresh_enabled) {
-    limit = std::min(limit, refresh_.next_urgent_cycle(cycle_));
-  }
-
-  const Command col = is_write ? Command::kWrite : Command::kRead;
-  const AccessType dir = is_write ? AccessType::kWrite : AccessType::kRead;
-  const std::uint64_t start = cycle_;
-  while (!queue_.empty()) {
-    // Watchdog: the escalation tick at the front deadline needs the
-    // general path; deadlines are age-ordered so re-deriving from the
-    // current front after each erase keeps the bound exact.
-    std::uint64_t lim = limit;
-    if (cfg_.watchdog_enabled) {
-      if (queue_.front().wd_retries != 0) break;
-      lim = std::min(lim, queue_.front().wd_deadline);
-    }
-    // Closed-form next events: the only things that can happen in this
-    // regime are the next column issue and an in-flight retirement.
-    std::uint64_t ni =
-        std::max(cycle_,
-                 std::max(bk.earliest(col), channel_column_release(dir)));
-    if (tdm_slots != 0) {
-      const std::uint64_t slot = ni / tdm_slot_cycles;
-      const std::uint64_t delta =
-          (tdm_cls + tdm_slots - slot % tdm_slots) % tdm_slots;
-      if (delta != 0) ni = (slot + delta) * tdm_slot_cycles;
-    }
-    const std::uint64_t ev = std::min(ni, inflight_min_done_);
-    if (ev >= lim) break;
-    // Every cycle in (cycle_, ev) is pure bookkeeping — exactly
-    // advance_idle's contract, which also notes the skipped rounds.
-    if (ev > cycle_) advance_idle(ev - cycle_);
-    // Lite tick at `ev`, in tick()'s exact order. The general-path gates
-    // (maintenance, auto-precharge, watchdog, refresh, page-timeout
-    // closes) are all provably inert here; the scheduler round reduces to
-    // the front pick the homogeneous streak guarantees for every policy.
-    stats_.queue_occupancy.add(static_cast<double>(queue_.size()));
-    if (cfg_.powerdown_enabled) was_idle_ = false;
-    if (!inflight_.empty() && inflight_min_done_ <= cycle_) {
-      retire_due_inflight();
-    }
-    scheduler_note_pick();  // the lite tick's round, issuing or not
-    if (ni == cycle_) {
-      QueueEntry& e = queue_.front();
-      classify(e, bk);
-      issue_column(e, cycle_);
-      erase_queue_entry(0);
-    }
-    ++cycle_;
-    ++stats_.cycles;
-    notify_tick();
-    // Every lite tick issues or retires (ev is one of the two), so in
-    // stop-after-event mode the first iteration is also the last.
-    if (stop_after_event) break;
-  }
-  return cycle_ - start;
-}
-
-void Controller::tick_until(std::uint64_t target_cycle) {
-  while (cycle_ < target_cycle) {
-    // Dense steady state: retire the stretch's issues in closed form.
-    if (issue_burst(target_cycle) != 0) continue;
-    // One real tick settles same-cycle transitions (idle-streak starts,
-    // scheduler hysteresis, lazy refresh batching) before any skip.
+void Controller::advance(std::uint64_t bound, StopAt stop) {
+  while (cycle_ < bound && !(stop == StopAt::kIdle && idle())) {
+    const std::size_t queued = queue_.size();
+    const std::size_t retired = completed_.size();
     tick();
-    if (cycle_ >= target_cycle) break;
-    const std::uint64_t ne = next_event_cycle();
-    if (ne > cycle_) advance_idle(std::min(ne, target_cycle) - cycle_);
-  }
-}
-
-void Controller::dense_advance(std::uint64_t bound) {
-  while (cycle_ < bound) {
-    // The burst lite tick is itself an event (issue and/or retire): one
-    // iteration, then hand the cycle after it back to the front end.
-    if (issue_burst(bound, /*stop_after_event=*/true) != 0) return;
-    // General path: a real tick, with the front-end-visible transitions
-    // detected by their only possible footprints — a queue slot freed
-    // (column issue, invalidation) or a retirement into the completed
-    // list. Anything else (ACT/PRE, refresh, maintenance, power-down) is
-    // invisible to the front end and the stretch continues.
-    const std::size_t q0 = queue_.size();
-    const std::size_t c0 = completed_.size();
-    tick();
-    if (queue_.size() < q0 || completed_.size() != c0) return;
     if (cycle_ >= bound) return;
+    // The front end sees a tick only through its footprints: a queue slot
+    // freed (column issue, invalidation) or a retirement into the
+    // completed list. ACT/PRE, refresh, maintenance and power-down are
+    // invisible to it, so the stretch continues past them.
+    if (stop == StopAt::kFrontEndEvent &&
+        (queue_.size() < queued || completed_.size() != retired)) {
+      return;
+    }
+    if (stop == StopAt::kIdle && idle()) return;
     const std::uint64_t ne = next_event_cycle();
     if (ne > cycle_) advance_idle(std::min(ne, bound) - cycle_);
   }
 }
 
+void Controller::tick_until(std::uint64_t target_cycle) {
+  advance(target_cycle, StopAt::kBound);
+}
+
+void Controller::dense_advance(std::uint64_t bound) {
+  advance(bound, StopAt::kFrontEndEvent);
+}
+
 void Controller::drain(std::uint64_t max_cycles) {
-  const std::uint64_t limit = cycle_ + max_cycles;
-  while (!idle() && cycle_ < limit) {
-    tick();
-    if (idle() || cycle_ >= limit) break;
-    const std::uint64_t ne = next_event_cycle();
-    if (ne > cycle_) advance_idle(std::min(ne, limit) - cycle_);
-  }
+  advance(cycle_ + max_cycles, StopAt::kIdle);
   require(idle(), "Controller::drain: did not converge (deadlock?)");
 }
 

@@ -170,17 +170,6 @@ class Controller {
   /// Currently attached command log (nullptr when detached).
   CommandLog* command_log() const { return command_log_; }
 
-  /// Toggle the dense-traffic burst-issue fast path (on by default). When
-  /// the whole queue is a single-bank row-hit streak in a provably
-  /// deterministic steady state (no refresh / maintenance / watchdog /
-  /// power-down deadline, no pending auto-precharge, no attached
-  /// reliability hooks), tick_until() computes the next command issues in
-  /// closed form instead of running the full scheduler round every event.
-  /// Both settings are bit-identical across stats, command log, and
-  /// telemetry; the off position is the differential-fuzz reference.
-  void set_burst_issue(bool on) { burst_issue_ = on; }
-  bool burst_issue() const { return burst_issue_; }
-
   /// Serialize / restore the full dynamic channel state: banks, refresh
   /// pacing, scheduler hysteresis, queued and in-flight requests, bus and
   /// channel constraints, power-down and maintenance-lock state, stats.
@@ -234,7 +223,7 @@ class Controller {
   void tick_autoprecharge();
   void tick_watchdog();
   /// Retire every in-flight request whose last data beat is done (step 1
-  /// of tick(); shared with the burst-issue lite tick).
+  /// of tick()).
   void retire_due_inflight();
   /// One scheduler round: fills masks_ from the queue position masks with
   /// one pass per queued bank and returns the picked queue index, or
@@ -254,17 +243,17 @@ class Controller {
   /// The watchdog escalated the front request: the round serves it alone
   /// and consults no policy (TDM excepted).
   bool front_escalated() const;
-  /// Dense-traffic fast path: when the queue is a homogeneous single-bank
-  /// row-hit streak in a deterministic steady state, advance through issue
-  /// and retire events in closed form up to (exclusive) the first cycle
-  /// that needs the general tick() path, never beyond `target_cycle`.
-  /// Returns the number of cycles advanced (0 = not eligible). Bit-
-  /// identical to ticking through the same stretch. With
-  /// `stop_after_event` the loop exits right after its first lite tick
-  /// (every lite tick issues or retires — a front-end-visible event), so
-  /// dense_advance can hand control back without re-deriving the bound.
-  std::uint64_t issue_burst(std::uint64_t target_cycle,
-                            bool stop_after_event = false);
+  /// When advance() returns before its bound.
+  enum class StopAt {
+    kBound,          ///< only at the bound (tick_until)
+    kFrontEndEvent,  ///< after a tick that freed a slot or retired a request
+    kIdle,           ///< once nothing is queued or in flight (drain)
+  };
+  /// The one event-driven loop behind tick_until, dense_advance and drain:
+  /// tick once (settling same-cycle transitions such as idle-streak
+  /// starts, scheduler hysteresis and lazy refresh batching), then skip to
+  /// the next event with advance_idle, never past `bound`.
+  void advance(std::uint64_t bound, StopAt stop);
 
   /// Append `e` to queue_ and set its bits in the position masks.
   void push_queue_entry(const QueueEntry& e);
@@ -298,15 +287,13 @@ class Controller {
   // Derived minimum that keeps the common quiet-cycle check O(1).
   std::uint64_t inflight_min_done_ = kNeverCycle;
 
-  bool burst_issue_ = true;  // see docs/performance.md, "Dense traffic"
-
   // Derived queue state as bitmasks over queue positions: bit i of word
   // i / 64 describes queue_[i], mask_words_ words per mask so any
   // queue_depth fits, and bits at and past queue_.size() are clear. Only
   // push_queue_entry, erase_queue_entry and an ACT (mark_row_hits) change
   // them; load() rebuilds them through push. The scheduler round, the
-  // next-event bound, maintenance and the burst-issue streak probe read
-  // these instead of walking the queue.
+  // next-event bound and maintenance read these instead of walking the
+  // queue.
   std::size_t mask_words_ = 1;
   // One allocation holds every mask; the pointers below index into it and
   // stay valid because a Controller is neither copied nor moved.

@@ -1,10 +1,10 @@
-// Randomized differential testing for the fast-forward and burst-issue
+// Randomized differential testing for the fast-forward and dense-stretch
 // fast paths: every generated configuration must produce bit-identical
 // final stats, command logs, and interval telemetry between the per-cycle
 // reference (all fast paths off) and every combination of {per-cycle,
-// fast-forward} x {burst-issue on, off} — and, for multi-channel, at 1, 2
+// fast-forward} x {dense stretch on, off} — and, for multi-channel, at 1, 2
 // and 8 tick threads. A slice of the client mixes is high-demand (near-zero pacing,
-// thousands of requests) so the dense-traffic burst path actually
+// thousands of requests) so the dense-traffic stretch actually
 // engages, and the §4.1 MPEG2 decoder roster runs on random
 // decoder-capable channels as its own trial set. Any failure prints the
 // reproducer seed and the full config so the trial can be replayed in
@@ -210,8 +210,7 @@ std::vector<core::WcetClient> add_random_clients(clients::MemorySystem& sys,
   std::vector<core::WcetClient> wclients;
   // ~35% of mixes are high-demand: near-zero pacing, thousands of
   // requests and a compact footprint keep the controller queue full with
-  // long same-row streaks — the regime the burst-issue fast path engages
-  // in. The rest stay paced so fast-forward has idle gaps to skip.
+  // long same-row streaks — the regime the dense stretch engages in. The rest stay paced so fast-forward has idle gaps to skip.
   const bool dense = rng.next_bool(0.35);
   const unsigned n = 1 + static_cast<unsigned>(rng.next_below(3));
   for (unsigned i = 0; i < n; ++i) {
@@ -317,7 +316,7 @@ reliability::ReliabilityConfig random_reliability(std::uint64_t seed) {
 
 // ---------------------------------------------------------------------------
 // System-level differential: the per-cycle reference vs fast-forward vs
-// burst issue (per-cycle and fast-forward), all bit-identical.
+// the dense stretch (per-cycle and fast-forward), all bit-identical.
 
 /// Adds one trial's clients to a freshly built system; returns them as the
 /// WCET analysis sees them (empty when the roster is not modelled).
@@ -460,7 +459,7 @@ TEST(DifferentialFuzz, SystemLevelThreeWayBitIdentical) {
       expect_system_runs_eq(reference, fast);
     }
 
-    // Burst-issue axis: the dense-traffic fast path rides the same
+    // Dense-stretch axis: the dense-traffic fast path rides the same
     // contract as fast-forward, so it is fuzzed both per-cycle and under
     // fast-forward.
     for (const bool bff : {false, true}) {
@@ -509,8 +508,8 @@ TEST(DifferentialFuzz, MidTrialSnapshotRestoreBitIdentical) {
     const std::uint64_t window = 20'000 + rng.next_below(30'000);
     const bool with_rel = rng.next_bool(0.5);
     const std::uint64_t cut = 1 + rng.next_below(window - 1);
-    // Half the snapshot trials run with burst issue on: a cut can land
-    // mid-streak, so restore must rebuild the pre-decoded queue arrays
+    // Half the snapshot trials run with the dense stretch on: a cut can
+    // land mid-stretch, so restore must rebuild the queue position masks
     // bit-exactly (Controller::load re-derives them from the queue).
     const bool burst = trial % 2 == 1;
     const std::uint64_t client_seed = derive_seed(seed, 1);
@@ -643,9 +642,8 @@ TEST(DifferentialFuzz, DecoderRosterBitIdentical) {
 // at most 64, so a scheduler round never spans more than one 64-bit mask
 // word there. This drives a bare Controller at depths 65, 128 and 512 with
 // bursty multi-client traffic, for every policy x page policy, with and
-// without the watchdog: fast-forward (with and without burst issue) and the
-// dense_advance drive must match per-cycle ticking, and the log must pass
-// the protocol checker.
+// without the watchdog: the tick_until and dense_advance drives must match
+// per-cycle ticking, and the log must pass the protocol checker.
 
 #ifdef EDSIM_FUZZ_SOAK
 constexpr std::uint64_t kDeepQueueWindow = 60'000;
@@ -653,7 +651,7 @@ constexpr std::uint64_t kDeepQueueWindow = 60'000;
 constexpr std::uint64_t kDeepQueueWindow = 8'000;
 #endif
 
-enum class DeepDrive { kPerCycle, kFastForward, kBurst, kDense };
+enum class DeepDrive { kPerCycle, kFastForward, kDense };
 
 struct DeepQueueRun {
   dram::CommandLog log;
@@ -664,7 +662,6 @@ struct DeepQueueRun {
 DeepQueueRun run_deep_queue(const DramConfig& cfg, std::uint64_t seed,
                             DeepDrive drive) {
   Controller ctl(cfg);
-  ctl.set_burst_issue(drive != DeepDrive::kFastForward);
   DeepQueueRun run;
   ctl.attach_command_log(&run.log);
   Rng rng(seed);
@@ -703,7 +700,6 @@ DeepQueueRun run_deep_queue(const DramConfig& cfg, std::uint64_t seed,
         while (ctl.cycle() < stop) ctl.tick();
         break;
       case DeepDrive::kFastForward:
-      case DeepDrive::kBurst:
         ctl.tick_until(stop);
         break;
       case DeepDrive::kDense:
@@ -751,9 +747,8 @@ TEST(DifferentialFuzz, DeepQueueControllerBitIdentical) {
               run_deep_queue(cfg, seed, DeepDrive::kPerCycle);
           EXPECT_TRUE(dram::ProtocolChecker(cfg).verify(reference.log).empty());
           EXPECT_GT(reference.stats.reads + reference.stats.writes, 0u);
-          for (const DeepDrive drive : {DeepDrive::kFastForward,
-                                        DeepDrive::kBurst,
-                                        DeepDrive::kDense}) {
+          for (const DeepDrive drive :
+               {DeepDrive::kFastForward, DeepDrive::kDense}) {
             SCOPED_TRACE("drive " + std::to_string(static_cast<int>(drive)));
             const DeepQueueRun run = run_deep_queue(cfg, seed, drive);
             expect_stats_eq(reference.stats, run.stats);
@@ -813,7 +808,7 @@ struct ChannelRun {
   std::vector<Request> completions;
 
   ChannelRun(const DramConfig& cfg, unsigned channels,
-             dram::ChannelInterleave il, unsigned threads, bool burst,
+             dram::ChannelInterleave il, unsigned threads,
              const std::vector<ChannelArrival>& trace, std::uint64_t window)
       : mc(cfg, channels, il) {
     mc.set_tick_threads(threads);
@@ -821,7 +816,6 @@ struct ChannelRun {
       logs.push_back(std::make_unique<dram::CommandLog>());
       intervals.push_back(std::make_unique<telemetry::IntervalReporter>(512));
       mc.channel(c).attach_command_log(logs.back().get());
-      mc.channel(c).set_burst_issue(burst);
       mc.attach_telemetry(c, intervals.back().get());
     }
     std::vector<Request> scratch;
@@ -889,14 +883,11 @@ TEST(DifferentialFuzz, MultiChannelBitIdenticalAcrossThreadCounts) {
     const std::vector<ChannelArrival> trace =
         random_channel_trace(rng, span, window);
 
-    // Reference: serial walk, burst issue off. The sweep runs burst on, so
-    // the direct tick_until drive (no MemorySystem front end) exercises
-    // the closed-form path too.
-    const ChannelRun reference(cfg, channels, il, /*threads=*/1,
-                               /*burst=*/false, trace, window);
+    // Reference: the serial walk.
+    const ChannelRun reference(cfg, channels, il, /*threads=*/1, trace,
+                               window);
     for (const unsigned threads : {1u, 2u, 8u}) {
-      const ChannelRun run(cfg, channels, il, threads, /*burst=*/true, trace,
-                           window);
+      const ChannelRun run(cfg, channels, il, threads, trace, window);
       SCOPED_TRACE("tick_threads=" + std::to_string(threads));
       expect_channel_runs_eq(reference, run);
     }
@@ -998,8 +989,8 @@ TEST(DifferentialFuzz, EvaluatorArenaMemoBitIdenticalAcrossThreadCounts) {
     w.warmup_cycles = trial % 3 == 0 ? 4'000 + rng.next_below(8'000) : 0;
 
     // Reference: regenerate clients per point, no memoization, no warm-up
-    // checkpointing, no burst issue, serial. The candidate evaluators
-    // keep burst on (the default), so every sweep differentially checks
+    // checkpointing, no dense stretch, serial. The candidate evaluators
+    // keep it on (the default), so every sweep differentially checks
     // the dense-traffic fast path through the evaluator pipeline.
     core::Evaluator ref;
     ref.set_workload_arena(false);

@@ -566,11 +566,11 @@ TEST(FastForward, MultiChannelSystemMatchesPerCycle) {
 }
 
 // ---------------------------------------------------------------------------
-// Saturated-channel equivalence: the dense-traffic burst path (controller
-// issue_burst + MemorySystem dense_stretch) against per-cycle stepping.
-// The suite above is idle-shape-heavy; these run at 100% duty, where
-// every cycle carries a command and set_burst_issue is the knob under
-// test. Reference is burst off + fast-forward off (pure per-cycle).
+// Saturated-channel equivalence: the dense-traffic stretch (MemorySystem
+// dense_stretch over Controller::dense_advance) against per-cycle
+// stepping. The suite above is idle-shape-heavy; these run at 100% duty,
+// where every cycle carries a command and set_burst_issue is the knob
+// under test. Reference is burst off + fast-forward off (pure per-cycle).
 
 void expect_systems_eq(const clients::MemorySystem& a,
                        const clients::MemorySystem& b) {

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "dram/presets.hpp"
+#include "reliability/manager.hpp"
 
 namespace edsim::clients {
 namespace {
@@ -83,6 +84,34 @@ TEST(MultiChannelSystem, EfficiencyWithinUnit) {
   sys.run(30'000);
   EXPECT_GT(sys.bandwidth_efficiency(), 0.0);
   EXPECT_LE(sys.bandwidth_efficiency(), 1.0);
+}
+
+TEST(MultiChannelSystem, CreditsEccOutcomesToClients) {
+  // A fault storm on channel 0: the ECC outcomes its demand reads carry
+  // must reach the per-client counters, as they do through MemorySystem.
+  dram::DramConfig c = chan();
+  c.ecc_enabled = true;
+  MultiChannelSystem sys(c, 2, dram::ChannelInterleave::kPage,
+                         ArbiterKind::kRoundRobin);
+  reliability::ReliabilityConfig rc;
+  rc.inject.transient_per_mbit_ms = 200.0;
+  reliability::ReliabilityManager rel(c, rc);
+  sys.memory().channel(0).attach_reliability(&rel);
+  for (unsigned i = 0; i < 2; ++i) {
+    StreamClient::Params p;
+    p.base = (1u << 21) * i;
+    p.length = 1 << 21;
+    p.burst_bytes = c.bytes_per_access();
+    sys.add_client(std::make_unique<StreamClient>(i, "s", p));
+  }
+  sys.run(200'000);
+  std::uint64_t corrected = 0;
+  for (unsigned i = 0; i < 2; ++i) {
+    corrected += sys.client_stats(i).corrected_errors;
+  }
+  EXPECT_GT(corrected, 0u);
+  // One request may carry several SEC events, never the reverse.
+  EXPECT_LE(corrected, rel.counters().demand_corrections);
 }
 
 TEST(MultiChannelSystem, RejectsNullClient) {

@@ -413,8 +413,8 @@ TEST(SchedulerMasks, ControllerMasksMatchFromScratch) {
               if (!masks_match(*ctl, "enqueue")) return;
             }
           }
-          // Per-cycle ticks, fast-forward (burst issue included) and the
-          // dense drive each erase entries on their own paths.
+          // Per-cycle ticks, fast-forward and the dense drive each run
+          // their own stretch of ticks and skips.
           const std::uint64_t stop = ctl->cycle() + 1 + rng.next_below(64);
           switch (rng.next_below(3)) {
             case 0:

@@ -358,14 +358,14 @@ TEST(WcetOracle, FcfsBoundIsTighterThanFrFcfs) {
 // a bound that holds but is hopelessly loose is not a useful oracle.
 
 // ---------------------------------------------------------------------------
-// Dense-traffic fast path under the WCET oracles: runs with burst issue
-// enabled must respect the analytical bounds exactly as per-cycle runs
-// do — the closed-form issue math cannot move a byte or a cycle past
+// Dense-traffic fast path under the WCET oracles: runs with the dense
+// stretch enabled must respect the analytical bounds exactly as per-cycle
+// runs do — the bulk front-end credit cannot move a byte or a cycle past
 // what the datasheet admits.
 
 TEST(WcetOracle, BurstIssuedRunsRespectWcetBounds) {
-  // Regime 1: a saturated single-row stream — the steady state the burst
-  // path retires in closed form. Overload rightly diverges the latency
+  // Regime 1: a saturated single-row stream — the steady state the dense
+  // stretch covers between controller events. Overload rightly diverges the latency
   // fixed point, so the unconditional bytes bound is the oracle here,
   // cross-checked against a burst-off reference and the protocol rules.
   {
